@@ -39,7 +39,7 @@ from repro.sva import (
 )
 from repro.uhb import microarch_observable
 from repro.uspec import multi_vscale_model, parse_uspec, model_source
-from repro.verifier import Explorer, FAILED, PROVEN
+from repro.verifier import FAILED, GraphExplorer, PROVEN
 from repro.verifier.config import EXPLORER_BUDGET
 from repro.vscale import MultiVScale
 
@@ -62,7 +62,7 @@ def _explorer_for(compiled, variant):
     checker = AssumptionChecker(
         MultiVScaleProgramMapping(compiled).all_assumptions()
     )
-    return Explorer(design, checker)
+    return GraphExplorer(design, checker)
 
 
 def test_ablation_naive_delay_encoding_misses_the_bug(benchmark, results_dir):

@@ -73,6 +73,7 @@ import sys
 from repro import CONFIGS, RTLCheck, get_test, paper_suite
 from repro.litmus import compile_test
 from repro.memodel import sc_allowed
+from repro.rtl.design import STATE_BACKENDS
 from repro.uhb import microarch_observable
 from repro.uspec import multi_vscale_model
 from repro.verifier.config import DEFAULT_SUITE_JOBS
@@ -116,20 +117,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="verifier engine configuration (default: Full_Proof)",
     )
     parser.add_argument(
-        "--explorer",
-        choices=["graph", "per-property"],
-        default="graph",
-        help="explorer backend: shared reachability graph (default) or "
-        "the per-property re-exploring explorer",
-    )
-    parser.add_argument(
         "--state-backend",
-        choices=["array", "kernel", "dict"],
+        choices=list(STATE_BACKENDS),
         default="array",
         help="design snapshot representation: interned flat slot "
-        "vectors with batched expansion (default), compiled per-design "
-        "step kernels over the same vectors ('kernel'), or the "
-        "original nested-tuple snapshots (the equivalence reference)",
+        "vectors with batched expansion (default), or compiled "
+        "per-design step kernels over the same vectors ('kernel')",
     )
     parser.add_argument(
         "--report",
@@ -339,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--state-backend",
-        choices=["array", "kernel", "dict"],
+        choices=list(STATE_BACKENDS),
         default="array",
         help="design snapshot representation the RTL-touching oracles "
         "use (backends are verdict-equivalent; reports are "
@@ -490,12 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="verifier engine configuration (default: Full_Proof)",
         )
         sub_parser.add_argument(
-            "--explorer",
-            choices=["graph", "per-property"],
-            default="graph",
-            help="explorer backend (default: graph)",
-        )
-        sub_parser.add_argument(
             "--observe",
             action="store_true",
             help="run the job with observability recording, matching a "
@@ -530,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub_parser in (submit_suite, submit_verify, submit_fuzz):
         sub_parser.add_argument(
             "--state-backend",
-            choices=["array", "kernel", "dict"],
+            choices=list(STATE_BACKENDS),
             default="array",
             help="design snapshot representation (verdict-equivalent; "
             "part of the job key)",
@@ -692,7 +679,6 @@ def cmd_verify(args) -> int:
     cache = _cache_from_args(args)
     rtlcheck = RTLCheck(
         config=CONFIGS[args.config],
-        use_reach_graph=(args.explorer == "graph"),
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
@@ -739,7 +725,6 @@ def cmd_suite(args) -> int:
     cache = _cache_from_args(args)
     rtlcheck = RTLCheck(
         config=CONFIGS[args.config],
-        use_reach_graph=(args.explorer == "graph"),
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
@@ -1098,7 +1083,6 @@ def cmd_submit(args) -> int:
         params = {
             "memory_variant": args.memory,
             "config": args.config,
-            "explorer": args.explorer,
             "state_backend": args.state_backend,
             "observe": args.observe,
         }

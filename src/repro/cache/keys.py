@@ -171,7 +171,6 @@ def verdict_key(
     design_factory,
     node_mapping_factory,
     program_mapping_factory,
-    use_reach_graph: bool,
     skip_cover_shortcut: bool,
     state_backend: str = "array",
 ) -> str:
@@ -196,7 +195,6 @@ def verdict_key(
             "design_factory": qualname(design_factory),
             "node_mapping": qualname(node_mapping_factory),
             "program_mapping": qualname(program_mapping_factory),
-            "use_reach_graph": bool(use_reach_graph),
             "skip_cover_shortcut": bool(skip_cover_shortcut),
             "state_backend": state_backend,
         }
@@ -216,9 +214,9 @@ def reach_key(
     Deliberately independent of the µspec model and engine
     configuration: the assumption-constrained design transition relation
     is the same for every axiom set and Table-1 row, so one graph serves
-    them all.  ``state_backend`` *is* keyed: a pickled graph's node
-    snapshots are interned ids on one backend and nested tuples on the
-    other — never interchangeable."""
+    them all.  ``state_backend`` *is* keyed: a pickled graph carries its
+    design, whose backend (and, on ``kernel``, compile counters) the
+    replaying run inherits."""
     return digest_payload(
         {
             "tier": "reach",

@@ -103,13 +103,12 @@ class TestVerification:
     #: Property-check phase seconds (all assertions).
     proof_seconds: float = 0.0
     #: Seconds spent simulating design transitions into the shared
-    #: reachability graph (0.0 under the per-property explorer).
+    #: reachability graph.
     graph_build_seconds: float = 0.0
-    #: Design states discovered in the shared graph (0 under the
-    #: per-property explorer).
+    #: Design states discovered in the shared graph.
     graph_states: int = 0
     #: Design transitions actually simulated — the cache-miss work all
-    #: property walks shared (0 under the per-property explorer).
+    #: property walks shared.
     graph_transitions: int = 0
     #: Observability snapshot (:meth:`repro.obs.TraceRecorder.to_state`)
     #: when the run was observed; ``None`` otherwise.  Picklable, so it

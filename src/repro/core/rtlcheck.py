@@ -39,7 +39,7 @@ from repro.errors import ReproError
 from repro.litmus.test import CompiledTest, LitmusTest, compile_test
 from repro.mapping.node_mapping import MultiVScaleNodeMapping
 from repro.mapping.program_mapping import MultiVScaleProgramMapping
-from repro.rtl.design import VECTOR_BACKENDS
+from repro.rtl.design import STATE_BACKENDS
 from repro.sva.ast import Directive
 from repro.sva.emit import emit_sva_file
 from repro.sva.monitor import AssumptionChecker, PropertyMonitor
@@ -48,11 +48,9 @@ from repro.uspec.model import load_model, multi_vscale_model
 from repro.verifier.config import (
     EXPLORER_BUDGET,
     FULL_PROOF,
-    USE_REACH_GRAPH,
     VerifierConfig,
 )
 from repro.verifier.engines import EngineModel
-from repro.verifier.explorer import Explorer
 from repro.verifier.reach import GraphExplorer
 from repro.vscale.soc import MultiVScale
 
@@ -118,23 +116,21 @@ class RTLCheck:
         design_factory=None,
         node_mapping_factory=MultiVScaleNodeMapping,
         program_mapping_factory=MultiVScaleProgramMapping,
-        use_reach_graph: bool = USE_REACH_GRAPH,
         observe: bool = False,
         coverage: bool = False,
         cache=None,
         state_backend: str = "array",
     ):
-        if state_backend not in ("array", "dict", "kernel"):
+        if state_backend not in STATE_BACKENDS:
             raise ReproError(
                 f"unknown state backend {state_backend!r}; "
-                "choose 'array', 'kernel', or 'dict'"
+                "choose 'array' or 'kernel'"
             )
         self.model = model or multi_vscale_model()
         self.config = config
         self.design_factory = design_factory or _multi_vscale_design_factory
         self.node_mapping_factory = node_mapping_factory
         self.program_mapping_factory = program_mapping_factory
-        self.use_reach_graph = use_reach_graph
         self.observe = observe
         #: Collect microarchitectural coverage maps per test
         #: (:mod:`repro.obs.coverage`) and attach them to ``result.obs``
@@ -142,9 +138,9 @@ class RTLCheck:
         self.coverage = coverage
         #: Snapshot representation applied to factory-built designs:
         #: ``"array"`` (interned flat vectors + batched expansion — the
-        #: default) or ``"dict"`` (nested tuples, the equivalence
-        #: reference).  Designs without a slot layout stay on ``dict``
-        #: regardless (``docs/performance.md``).
+        #: default) or ``"kernel"`` (the same vectors stepped by
+        #: compiled code).  Designs without a slot layout keep their own
+        #: snapshots regardless (``docs/performance.md``).
         self.state_backend = state_backend
         #: Optional :class:`repro.cache.VerificationCache`.  When set,
         #: verdicts, reach graphs, and compiled monitors are memoized on
@@ -190,7 +186,6 @@ class RTLCheck:
             design_factory=self.design_factory,
             node_mapping_factory=self.node_mapping_factory,
             program_mapping_factory=self.program_mapping_factory,
-            use_reach_graph=self.use_reach_graph,
             skip_cover_shortcut=skip_cover_shortcut,
             state_backend=self.state_backend,
         )
@@ -305,32 +300,27 @@ class RTLCheck:
             design = self.design_factory(generated.compiled, memory_variant)
             self._apply_state_backend(design)
             checker = AssumptionChecker(generated.assumptions)
-            reach_key = loaded_transitions = None
-            if self.use_reach_graph:
-                # The design's assumption-constrained state space is
-                # explored once into a shared graph; the cover run and
-                # every property walk below replay it without
-                # re-simulating.  With a cache attached, the graph is
-                # additionally persisted across processes and engine
-                # configurations (its key excludes the µspec model and
-                # config — see docs/caching.md).
-                graph = None
-                if self.cache is not None:
-                    from repro.cache import keys as cache_keys
+            # The design's assumption-constrained state space is
+            # explored once into a shared graph; the cover run and every
+            # property walk below replay it without re-simulating.  With
+            # a cache attached, the graph is additionally persisted
+            # across processes and engine configurations (its key
+            # excludes the µspec model and config — see docs/caching.md).
+            reach_key = loaded_transitions = graph = None
+            if self.cache is not None:
+                from repro.cache import keys as cache_keys
 
-                    reach_key = cache_keys.reach_key(
-                        test=test,
-                        memory_variant=memory_variant,
-                        design_factory=self.design_factory,
-                        program_mapping_factory=self.program_mapping_factory,
-                        state_backend=self.state_backend,
-                    )
-                    graph = self.cache.load_graph(reach_key)
-                    if graph is not None:
-                        loaded_transitions = graph.sim_transitions
-                explorer = GraphExplorer(design, checker, graph=graph)
-            else:
-                explorer = Explorer(design, checker)
+                reach_key = cache_keys.reach_key(
+                    test=test,
+                    memory_variant=memory_variant,
+                    design_factory=self.design_factory,
+                    program_mapping_factory=self.program_mapping_factory,
+                    state_backend=self.state_backend,
+                )
+                graph = self.cache.load_graph(reach_key)
+                if graph is not None:
+                    loaded_transitions = graph.sim_transitions
+            explorer = GraphExplorer(design, checker, graph=graph)
             engine_model = EngineModel(self.config)
 
             # Phase 1: covering traces for the assumptions (§4.1).
@@ -430,20 +420,16 @@ class RTLCheck:
     def _apply_state_backend(self, design) -> None:
         """Put a factory-built design on the configured state backend.
 
-        Requesting ``"array"`` on a design without a slot layout (for
-        example Multi-V-scale-TSO, whose store buffers are
-        variable-size) is a silent no-op: the design keeps its dict
-        snapshots and every explorer takes the classic path.
+        Requesting either backend on a design without a slot layout
+        (for example Multi-V-scale-TSO, whose store buffers are
+        variable-size) is a silent no-op: the design keeps its own
+        snapshots and expands through the generic ``step_batch``.
         Requesting ``"kernel"`` on a design without a compiled step
-        path likewise degrades gracefully — to ``array`` when the
-        design declares a slot layout, else ``dict``
+        path degrades gracefully to ``array``
         (:meth:`~repro.rtl.design.Design.enable_kernel_state`).
         """
         backend = getattr(design, "state_backend", None)
-        if self.state_backend == "dict":
-            if backend in VECTOR_BACKENDS:
-                design.disable_array_state()
-        elif self.state_backend == "kernel":
+        if self.state_backend == "kernel":
             if backend != "kernel" and hasattr(design, "enable_kernel_state"):
                 design.enable_kernel_state()
         elif backend != "array" and hasattr(design, "enable_array_state"):
@@ -466,7 +452,8 @@ class RTLCheck:
     @staticmethod
     def _flush_monitor_counters(recorder, monitor: PropertyMonitor) -> None:
         """Fold one property monitor's memo accumulators into the
-        recorder (monitors are per-property, so flush after each check)."""
+        recorder (each property has its own monitor, so flush after each
+        check)."""
         recorder.count("monitor.verdict_memo_hits", monitor.verdict_memo_hits)
         recorder.count("monitor.verdict_memo_misses", monitor.verdict_memo_misses)
         recorder.count(
@@ -492,9 +479,7 @@ class RTLCheck:
         """
         from repro.obs.coverage import collect_graph_coverage, shape_features
 
-        graph = getattr(explorer, "graph", None)
-        if graph is not None:
-            collect_graph_coverage(coverage, graph)
+        collect_graph_coverage(coverage, explorer.graph)
         for name in sorted(cover.fired_assumptions):
             coverage.add("assumption", f"fired:{name}")
         for prop in result.properties:
@@ -511,14 +496,12 @@ class RTLCheck:
     def _record_graph_stats(
         result: TestVerification, explorer, recorder=None, wall=None
     ) -> None:
-        graph = getattr(explorer, "graph", None)
-        design = getattr(explorer, "design", None)
-        if design is None and graph is not None:
-            # The graph explorer simulates exclusively through the
-            # graph's design (a warm-loaded graph carries its own).
-            design = graph.design
-        backend = getattr(design, "state_backend", "dict")
-        if recorder is not None and recorder.enabled and backend in VECTOR_BACKENDS:
+        graph = explorer.graph
+        # The explorer simulates exclusively through the graph's design
+        # (a warm-loaded graph carries its own).
+        design = graph.design
+        backend = getattr(design, "state_backend", None)
+        if recorder is not None and recorder.enabled and backend in STATE_BACKENDS:
             recorder.count("state.states_interned", design.states_interned)
             recorder.count("state.batch_expansions", design.batch_expansions)
             recorder.count("state.slots_copied", design.slots_copied)
@@ -529,8 +512,6 @@ class RTLCheck:
                 recorder.count(
                     "kernel.compile_seconds", design.kernel_compile_seconds
                 )
-        if graph is None:
-            return
         result.graph_build_seconds = graph.build_seconds
         result.graph_states = graph.num_nodes
         result.graph_transitions = graph.sim_transitions

@@ -35,6 +35,7 @@ from repro.difftest.shrink import (
 )
 from repro.errors import ReproError
 from repro.litmus.test import LitmusTest
+from repro.rtl.design import STATE_BACKENDS
 from repro.verifier.outcomes import DEFAULT_MAX_STATES
 
 
@@ -82,7 +83,7 @@ class FuzzConfig:
     #: without either, the campaign map is not persisted.
     coverage_db: Optional[str] = None
     #: Design snapshot representation the RTL-touching oracles use
-    #: (``"array"``, ``"kernel"``, or ``"dict"``).  Backends are
+    #: (``"array"`` or ``"kernel"``).  Backends are
     #: verdict-equivalent by contract, so reports are byte-identical
     #: across them; the knob exists for performance and for the
     #: kernel-equivalence regression suite.
@@ -127,10 +128,10 @@ class FuzzConfig:
                 "guided scheduling requires coverage collection "
                 "(pass coverage=True / --coverage)"
             )
-        if self.state_backend not in ("array", "kernel", "dict"):
+        if self.state_backend not in STATE_BACKENDS:
             raise ReproError(
                 f"unknown state backend {self.state_backend!r}; "
-                "choose 'array', 'kernel', or 'dict'"
+                "choose 'array' or 'kernel'"
             )
 
 

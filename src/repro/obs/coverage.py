@@ -164,13 +164,13 @@ def state_signature(design, snap) -> str:
     representation) the snapshot is an interner id; the signature
     digests the packed flat slot vector, so equal physical states hash
     equal across runs — and across those two backends — regardless of
-    interning order.  On the dict backend (or any non-packable vector)
-    the signature digests the snapshot's ``repr`` — still
-    deterministic, but a different key space, so campaigns should not
-    mix it with the vector backends.
+    interning order.  For a design without a slot layout (or any
+    non-packable vector) the signature digests the snapshot's ``repr``
+    — still deterministic, but a different key space, so campaigns
+    should not mix it with the vector backends.
     """
     data = None
-    if getattr(design, "state_backend", "dict") in ("array", "kernel"):
+    if getattr(design, "state_backend", None) in ("array", "kernel"):
         vector = design.state_vector(snap)
         if vector is not None:
             try:

@@ -15,11 +15,8 @@ Designs also expose :meth:`Design.snapshot` / :meth:`Design.restore`,
 returning hashable states; the property verifier uses these for
 explicit-state exploration with deduplication.
 
-Three state backends implement that protocol (``docs/performance.md``):
+Two state backends implement that protocol (``docs/performance.md``):
 
-* ``dict`` — the original nested-tuple snapshots, built by each
-  subclass's :meth:`Design.snapshot_state` / :meth:`Design.restore_state`
-  (or a direct ``snapshot``/``restore`` override).
 * ``array`` — a flat slot vector.  The design declares a static
   :class:`SlotLayout` once; ``snapshot()`` writes every slot into a
   reused buffer and hash-conses the resulting tuple through a
@@ -32,6 +29,10 @@ Three state backends implement that protocol (``docs/performance.md``):
   Enabled via :meth:`Design.enable_kernel_state` on designs that
   implement :meth:`Design.build_step_kernel`; falls back to the array
   backend otherwise.  Bit-identical to the interpreter by contract.
+
+A design that declares no slot layout (Multi-V-scale-TSO, whose store
+buffers are variable-size) overrides ``snapshot``/``restore`` with its
+own hashable states and stays off both backends.
 
 On top of either backend, :meth:`Design.step_batch` expands *all* free
 input choices of one state in a single call; designs whose settled
@@ -63,8 +64,9 @@ from typing import (
 from repro import obs
 from repro.errors import ReproError, RtlError
 
-#: Backends whose snapshots are interned flat slot vectors.
-VECTOR_BACKENDS = ("array", "kernel")
+#: The selectable state backends; both snapshot to interned flat slot
+#: vectors.
+STATE_BACKENDS = ("array", "kernel")
 
 #: A settled cycle's signal values.
 Frame = Dict[str, int]
@@ -199,13 +201,14 @@ def _keep_all(frame: Frame, repeats: int) -> bool:
 
 class Design:
     """Base class for simulatable designs. Subclasses implement the
-    two-phase protocol plus snapshot/restore (directly, or via the
-    ``snapshot_state``/``restore_state`` + slot-layout backends)."""
+    two-phase protocol plus either a slot layout (the vector backends)
+    or their own ``snapshot``/``restore``."""
 
-    #: Active snapshot representation: ``"dict"`` (nested tuples),
-    #: ``"array"`` (interned flat vectors), or ``"kernel"`` (interned
-    #: flat vectors stepped by compiled code — see module docstring).
-    state_backend = "dict"
+    #: Active snapshot representation: ``"array"`` (interned flat
+    #: vectors), ``"kernel"`` (interned flat vectors stepped by compiled
+    #: code — see module docstring), or ``None`` before a slot layout is
+    #: bound.
+    state_backend: Optional[str] = None
     #: Slots moved through the flat buffer (vector backends only).
     slots_copied = 0
     #: ``step_batch`` calls that shared one settled evaluation.
@@ -230,33 +233,23 @@ class Design:
     # -- state protocol ------------------------------------------------
 
     def snapshot(self) -> Hashable:
-        if self.state_backend in VECTOR_BACKENDS:
-            buf = self._slot_buf
-            self.write_slots(buf)
-            self.slots_copied += len(buf)
-            return self._interner.intern(tuple(buf))
-        return self.snapshot_state()
+        """The current state as an interned slot-vector id (requires a
+        bound slot layout; layout-less designs override this)."""
+        buf = self._slot_buf
+        self.write_slots(buf)
+        self.slots_copied += len(buf)
+        return self._interner.intern(tuple(buf))
 
     def restore(self, state: Hashable) -> None:
-        if self.state_backend in VECTOR_BACKENDS:
-            vec = self._interner.state(state)
-            self.read_slots(vec)
-            self.slots_copied += len(vec)
-        else:
-            self.restore_state(state)
-
-    def snapshot_state(self) -> Hashable:
-        """Dict-backend snapshot (nested hashable tuples)."""
-        raise NotImplementedError
-
-    def restore_state(self, state: Hashable) -> None:
-        raise NotImplementedError
+        vec = self._interner.state(state)
+        self.read_slots(vec)
+        self.slots_copied += len(vec)
 
     # -- array backend (opt-in per design) -----------------------------
 
     def slot_layout(self) -> Optional[SlotLayout]:
         """The design's flat-state declaration, or ``None`` when the
-        design only supports the dict backend."""
+        design snapshots through its own ``snapshot``/``restore``."""
         return None
 
     def write_slots(self, buf: List[int]) -> None:
@@ -270,9 +263,9 @@ class Design:
 
     def enable_array_state(self) -> bool:
         """Switch to interned flat-vector snapshots; returns False (and
-        stays on the dict backend) when the design declares no slot
-        layout.  Snapshots taken under one backend are meaningless to
-        the other, so switch only between explorations."""
+        keeps the design's own snapshots) when the design declares no
+        slot layout.  Snapshots taken before the switch are meaningless
+        after it, so switch only between explorations."""
         layout = self.slot_layout()
         if layout is None:
             return False
@@ -283,10 +276,6 @@ class Design:
         self.batch_expansions = 0
         self.state_backend = "array"
         return True
-
-    def disable_array_state(self) -> None:
-        """Fall back to the dict backend (``snapshot_state`` et al.)."""
-        self.state_backend = "dict"
 
     # -- kernel backend (opt-in per design, see repro.rtl.kernel) ------
 
@@ -300,9 +289,9 @@ class Design:
     def enable_kernel_state(self) -> bool:
         """Switch to the compiled-kernel backend; returns False when
         the design supports no kernel.  On False the design is left on
-        the best backend it does support (array when it declares a slot
-        layout, dict otherwise) — requesting ``kernel`` never loses the
-        vector representation that is already available."""
+        the array backend when it declares a slot layout, else on its
+        own snapshots — requesting ``kernel`` never loses the vector
+        representation that is already available."""
         if not self.enable_array_state():
             return False
         start = time.perf_counter()
@@ -336,33 +325,33 @@ class Design:
 
     @property
     def states_interned(self) -> int:
-        """Distinct states the interner holds (0 on the dict backend)."""
-        if self.state_backend not in VECTOR_BACKENDS:
+        """Distinct states the interner holds (0 without a slot layout)."""
+        if self.state_backend not in STATE_BACKENDS:
             return 0
         return len(self._interner)
 
     def state_vector(self, state: Hashable) -> Optional[Tuple[int, ...]]:
         """The flat slot vector behind a vector-backend snapshot id, or
-        ``None`` on the dict backend (where snapshots carry their own
+        ``None`` without a slot layout (where snapshots carry their own
         structure).  Coverage signatures digest this vector so state
         identity is stable across runs and interning orders."""
-        if self.state_backend in VECTOR_BACKENDS:
+        if self.state_backend in STATE_BACKENDS:
             return self._interner.state(state)
         return None
 
     def intern_vector(self, vec: Sequence[int]) -> Optional[int]:
-        """Intern a raw slot vector (vector backends), or ``None`` on
-        the dict backend.  Lets kernel consumers turn stepped vectors
-        back into snapshot ids without a restore."""
-        if self.state_backend in VECTOR_BACKENDS:
+        """Intern a raw slot vector (vector backends), or ``None``
+        without a slot layout.  Lets kernel consumers turn stepped
+        vectors back into snapshot ids without a restore."""
+        if self.state_backend in STATE_BACKENDS:
             return self._interner.intern(tuple(vec))
         return None
 
     def state_drained(self, state: Hashable) -> bool:
         """Whether ``state`` is quiescent, without the caller paying a
         restore on the kernel backend (the compiled predicate reads the
-        slot vector directly).  The interpreter backends restore and
-        ask the design, bit-for-bit the code path they always ran."""
+        slot vector directly).  Elsewhere the design restores and asks
+        :meth:`drained`."""
         if self.state_backend == "kernel":
             return self.step_kernel.drained(self._interner.state(state))
         self.restore(state)

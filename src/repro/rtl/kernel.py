@@ -26,7 +26,7 @@ It must reproduce the interpreter bit for bit — same frames, same
 successor vectors, same error raises (fetch past instruction memory,
 memory-word growth guard) at the same logical points — so serialized
 verdicts, reach graphs, VCDs, and coverage maps are identical across
-the ``dict``/``array``/``kernel`` backends.  The differential harness
+the ``array`` and ``kernel`` backends.  The differential harness
 in ``tests/test_kernel_equivalence.py`` enforces this.
 """
 

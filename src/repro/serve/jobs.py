@@ -38,15 +38,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.rtl.design import STATE_BACKENDS
 
 #: Report kinds re-exported from the central registry in
 #: :mod:`repro.obs.report` (all toolchain-written kinds are
 #: discoverable there).
 from repro.obs.report import SCHEMA_VERSION, SERVE_EVENT_KIND, SERVE_JOB_KIND
 
-_STATE_BACKENDS = ("array", "kernel", "dict")
 _MEMORY_VARIANTS = ("fixed", "buggy")
-_EXPLORERS = ("graph", "per-property")
 
 #: Upper bound on a submitted fuzz budget — a server guard, not a
 #: campaign limit (the CLI has no such cap).
@@ -127,15 +126,10 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         config in CONFIGS,
         f"config must be one of {sorted(CONFIGS)}, got {config!r}",
     )
-    explorer = _pop_field(params, "explorer", "graph")
-    _require(
-        explorer in _EXPLORERS,
-        f"explorer must be one of {list(_EXPLORERS)}, got {explorer!r}",
-    )
     state_backend = _pop_field(params, "state_backend", "array")
     _require(
-        state_backend in _STATE_BACKENDS,
-        f"state_backend must be one of {list(_STATE_BACKENDS)}, "
+        state_backend in STATE_BACKENDS,
+        f"state_backend must be one of {list(STATE_BACKENDS)}, "
         f"got {state_backend!r}",
     )
     observe = _pop_field(params, "observe", False)
@@ -145,7 +139,6 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "tests": list(tests),
         "memory_variant": memory_variant,
         "config": config,
-        "explorer": explorer,
         "state_backend": state_backend,
         "observe": observe,
     }
@@ -188,8 +181,8 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     state_backend = _pop_field(params, "state_backend", "array")
     _require(
-        state_backend in _STATE_BACKENDS,
-        f"state_backend must be one of {list(_STATE_BACKENDS)}, "
+        state_backend in STATE_BACKENDS,
+        f"state_backend must be one of {list(STATE_BACKENDS)}, "
         f"got {state_backend!r}",
     )
     jobs = _pop_field(params, "jobs", 1)
@@ -217,7 +210,6 @@ def rtlcheck_for(params: Dict[str, Any], cache=None):
 
     return RTLCheck(
         config=CONFIGS[params["config"]],
-        use_reach_graph=(params["explorer"] == "graph"),
         observe=params["observe"],
         cache=cache,
         state_backend=params["state_backend"],

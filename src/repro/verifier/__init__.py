@@ -5,7 +5,6 @@ from repro.verifier.explorer import (
     BOUNDED,
     Budget,
     ExplorationResult,
-    Explorer,
     FAILED,
     PROVEN,
     REACHABLE,
@@ -18,7 +17,6 @@ __all__ = [
     "BOUNDED",
     "Budget",
     "ExplorationResult",
-    "Explorer",
     "FAILED",
     "GraphExplorer",
     "PROVEN",

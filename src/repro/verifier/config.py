@@ -35,12 +35,6 @@ PROOF_PHASE_HOURS = 10.0
 #: truth); litmus-constrained Multi-V-scale never comes close.
 EXPLORER_BUDGET = Budget(max_states=2_000_000, max_depth=2_000)
 
-#: Default explorer backend: share one reachability graph across a
-#: test's covering-trace run and every property walk
-#: (:mod:`repro.verifier.reach`).  The per-property explorer remains
-#: available (``RTLCheck(use_reach_graph=False)``) for cross-checking.
-USE_REACH_GRAPH = True
-
 #: Default worker-process count for suite verification; the ``suite``
 #: subcommand's ``--jobs`` flag overrides it per run.
 DEFAULT_SUITE_JOBS = 1

@@ -14,9 +14,9 @@ The :class:`EngineModel` reproduces that behaviour honestly:
   exponentials — one anchored for the covering-trace phase (so the
   paper's quick tests discharge their cover run in modeled minutes
   while larger tests exhaust the phase budget) and one for the proof
-  phase (anchored on the per-property work distribution so the overall
+  phase (anchored on the distribution of work per property so the overall
   proven fractions land at the paper's 81% / 89%);
-* a deterministic per-property jitter models SAT-engine heuristic
+* a deterministic jitter for each property models SAT-engine heuristic
   variance, which is why the paper occasionally sees Hybrid beat
   Full_Proof on individual tests (§7.2: n2, n6, rfi013);
 * JasperGold's autoprover (Hybrid only) can converge by induction on
@@ -51,7 +51,7 @@ COVER_HOURS_SCALE = 48.7
 COVER_ONE_HOUR_TRANSITIONS = 550.0
 
 # -- proof phase cost model ---------------------------------------------------
-#: Anchors fitted to the per-property work distribution of the 56-test
+#: Anchors fitted to the distribution of work per property in the 56-test
 #: suite so that properties provable inside Hybrid's 7 full-proof hours
 #: are ~81% of all properties and those inside Full_Proof's 9.5 hours
 #: are ~89% (the paper's §7.2 overall fractions).

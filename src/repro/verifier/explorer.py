@@ -19,11 +19,16 @@ violated (no future-violation checking — §3.1), and the search over the
 free arbiter input reproduces "JasperGold tries all possibilities for
 this input" (§5.2).
 
+This module holds the walk's vocabulary — verdicts, budgets, results,
+and the instrumented public API; the one breadth-first walk itself is
+:class:`repro.verifier.reach.GraphExplorer`, which replays a shared
+reachability graph of the design.
+
 Timing and metrics are routed through :mod:`repro.obs`: every public
 walk runs inside a span whose duration becomes the result's
-``seconds`` field, and walk-level counters (transitions, states,
-frames simulated) are flushed to the active recorder — a no-op unless
-a :class:`~repro.obs.TraceRecorder` is installed.
+``seconds`` field, and walk-level counters (transitions, states) are
+flushed to the active recorder — a no-op unless a
+:class:`~repro.obs.TraceRecorder` is installed.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.rtl.design import Design, Frame, VECTOR_BACKENDS
-from repro.sva.monitor import AssumptionChecker, PropertyMonitor
+from repro.rtl.design import Frame
+from repro.sva.monitor import PropertyMonitor
 
 #: Verdicts.
 PROVEN = "proven"
@@ -118,20 +123,15 @@ class ExplorationResult:
 
 
 class InstrumentedExplorer:
-    """Shared public API of the explorer backends.
+    """Public walk API of the explorer.
 
     Wraps the walk bodies (``_check_property`` / ``_cover_assumptions``)
     in :mod:`repro.obs` spans — the span duration *is* the result's
-    ``seconds`` field — and flushes walk-level counters.  Subclasses
-    with ``_simulates_frames`` set evaluate the design once per
-    transition, so their transition count doubles as the RTL kernel's
-    frames-simulated counter; the graph-backed explorer reports its
-    simulation work through its :class:`~repro.verifier.reach.ReachGraph`
-    instead.
+    ``seconds`` field — and flushes walk-level counters.  Design
+    simulation is not counted here: the graph-backed explorer
+    (:class:`~repro.verifier.reach.GraphExplorer`) reports it through
+    its :class:`~repro.verifier.reach.ReachGraph`.
     """
-
-    #: Does every walked transition simulate an RTL frame?
-    _simulates_frames = True
 
     def check_property(
         self, monitor: PropertyMonitor, budget: Budget
@@ -161,8 +161,6 @@ class InstrumentedExplorer:
         recorder.count(f"explorer.{kind}_walks", 1)
         recorder.count("explorer.transitions", result.transitions)
         recorder.count("explorer.states_explored", result.states_explored)
-        if self._simulates_frames:
-            recorder.count("rtl.frames_simulated", result.transitions)
 
     # -- subclass responsibilities -------------------------------------
 
@@ -175,301 +173,16 @@ class InstrumentedExplorer:
         raise NotImplementedError
 
 
-class Explorer(InstrumentedExplorer):
-    """Breadth-first product-space exploration for one design."""
-
-    def __init__(self, design: Design, assumptions: AssumptionChecker):
-        self.design = design
-        self.assumptions = assumptions
-        self.input_space = design.input_space()
-
-    # ------------------------------------------------------------------
-
-    def _reset_root(self) -> Hashable:
-        self.design.reset()
-        return self.design.snapshot()
-
-    def _check_property(
-        self, monitor: PropertyMonitor, budget: Budget
-    ) -> ExplorationResult:
-        if self.design.state_backend in VECTOR_BACKENDS:
-            return self._check_property_batched(monitor, budget)
-        root_rtl = self._reset_root()
-        root = (root_rtl, monitor.initial())
-        visited = {root}
-        frontier: List[Tuple[Hashable, Tuple]] = [root]
-        # Parent pointers for counterexample reconstruction:
-        # child -> (parent, inputs, frame)
-        parents: Dict[Tuple, Tuple] = {root: None}
-        result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
-
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = BOUNDED
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier: List[Tuple[Hashable, Tuple]] = []
-            first = 1 if depth == 0 else 0
-            layer_start = result.transitions
-            for rtl_state, mon_state in frontier:
-                for inputs in self.input_space:
-                    self.design.restore(rtl_state)
-                    frame = self.design.eval_comb(inputs)
-                    frame["first"] = first
-                    result.transitions += 1
-                    if not self.assumptions.frame_ok(frame):
-                        continue
-                    new_mon = monitor.step(mon_state, frame)
-                    verdict = monitor.verdict(new_mon)
-                    if verdict is False:
-                        trace = self._rebuild_trace(
-                            parents, (rtl_state, mon_state)
-                        )
-                        trace.append((dict(inputs), frame))
-                        result.verdict = FAILED
-                        result.depth_completed = depth + 1
-                        result.states_explored = len(visited)
-                        result.counterexample = trace
-                        result.layer_transitions.append(
-                            result.transitions - layer_start
-                        )
-                        return result
-                    if verdict is True:
-                        continue  # every extension satisfies the property
-                    self.design.tick()
-                    child = (self.design.snapshot(), new_mon)
-                    if child not in visited:
-                        # Budget check per expansion, not per layer: a
-                        # wide layer must not blow past the state cap.
-                        if len(visited) >= budget.max_states:
-                            result.verdict = BOUNDED
-                            result.depth_completed = depth
-                            result.states_explored = len(visited)
-                            result.layer_transitions.append(
-                                result.transitions - layer_start
-                            )
-                            return result
-                        visited.add(child)
-                        parents[child] = ((rtl_state, mon_state), dict(inputs), frame)
-                        next_frontier.append(child)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
-
-        result.verdict = PROVEN
-        result.exhausted = True
-        result.depth_completed = depth
-        result.states_explored = len(visited)
-        return result
-
-    def _check_property_batched(
-        self, monitor: PropertyMonitor, budget: Budget
-    ) -> ExplorationResult:
-        """Array-backend product walk: one :meth:`Design.step_batch`
-        call per frontier pair expands every free-input choice at once.
-
-        Verdicts, traces, transition counts, and budget behavior are
-        identical to the per-input loop above; only the assumption
-        checker's firing *counters* can run ahead on walks that return
-        mid-node (the batch prices the whole input space up front).
-        """
-        design = self.design
-        assumptions = self.assumptions
-        input_space = self.input_space
-        root_rtl = self._reset_root()
-        root = (root_rtl, monitor.initial())
-        visited = {root}
-        frontier: List[Tuple[Hashable, Tuple]] = [root]
-        parents: Dict[Tuple, Tuple] = {root: None}
-        result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
-
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = BOUNDED
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier: List[Tuple[Hashable, Tuple]] = []
-            first = 1 if depth == 0 else 0
-            layer_start = result.transitions
-            for rtl_state, mon_state in frontier:
-                # ``step_batch_checked`` stamps ``first`` and applies the
-                # assumption pruning — as a fused compiled check on the
-                # kernel backend, via ``frame_ok_repeated`` elsewhere.
-                steps = design.step_batch_checked(
-                    rtl_state, input_space, assumptions, first
-                )
-                for index, step in enumerate(steps):
-                    result.transitions += 1
-                    if step is None:
-                        continue
-                    frame, child_rtl = step
-                    new_mon = monitor.step(mon_state, frame)
-                    verdict = monitor.verdict(new_mon)
-                    if verdict is False:
-                        trace = self._rebuild_trace(
-                            parents, (rtl_state, mon_state)
-                        )
-                        trace.append((dict(input_space[index]), frame))
-                        result.verdict = FAILED
-                        result.depth_completed = depth + 1
-                        result.states_explored = len(visited)
-                        result.counterexample = trace
-                        result.layer_transitions.append(
-                            result.transitions - layer_start
-                        )
-                        return result
-                    if verdict is True:
-                        continue  # every extension satisfies the property
-                    child = (child_rtl, new_mon)
-                    if child not in visited:
-                        if len(visited) >= budget.max_states:
-                            result.verdict = BOUNDED
-                            result.depth_completed = depth
-                            result.states_explored = len(visited)
-                            result.layer_transitions.append(
-                                result.transitions - layer_start
-                            )
-                            return result
-                        visited.add(child)
-                        parents[child] = (
-                            (rtl_state, mon_state),
-                            dict(input_space[index]),
-                            frame,
-                        )
-                        next_frontier.append(child)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
-
-        result.verdict = PROVEN
-        result.exhausted = True
-        result.depth_completed = depth
-        result.states_explored = len(visited)
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
-        if self.design.state_backend in VECTOR_BACKENDS:
-            return self._cover_assumptions_batched(budget)
-        root = self._reset_root()
-        visited = {root}
-        frontier = [root]
-        result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
-        checks = self.assumptions.checks
-
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = UNKNOWN
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier = []
-            first = 1 if depth == 0 else 0
-            layer_start = result.transitions
-            for rtl_state in frontier:
-                for inputs in self.input_space:
-                    self.design.restore(rtl_state)
-                    frame = self.design.eval_comb(inputs)
-                    frame["first"] = first
-                    result.transitions += 1
-                    if not self.assumptions.frame_ok(frame):
-                        continue
-                    for name, antecedent, _consequent in checks:
-                        if name not in result.fired_assumptions and antecedent.evaluate(frame):
-                            result.fired_assumptions.add(name)
-                    self.design.tick()
-                    child = self.design.snapshot()
-                    if child not in visited:
-                        if len(visited) >= budget.max_states:
-                            result.verdict = UNKNOWN
-                            result.depth_completed = depth
-                            result.states_explored = len(visited)
-                            result.layer_transitions.append(
-                                result.transitions - layer_start
-                            )
-                            return result
-                        visited.add(child)
-                        next_frontier.append(child)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
-
-        result.verdict = REACHABLE
-        result.exhausted = True
-        result.depth_completed = depth
-        result.states_explored = len(visited)
-        return result
-
-    def _cover_assumptions_batched(self, budget: Budget) -> ExplorationResult:
-        """Array-backend covering walk (see
-        :meth:`_check_property_batched` for the equivalence contract)."""
-        design = self.design
-        assumptions = self.assumptions
-        input_space = self.input_space
-        root = self._reset_root()
-        visited = {root}
-        frontier = [root]
-        result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
-        checks = self.assumptions.checks
-
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = UNKNOWN
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier = []
-            first = 1 if depth == 0 else 0
-            layer_start = result.transitions
-            for rtl_state in frontier:
-                steps = design.step_batch_checked(
-                    rtl_state, input_space, assumptions, first
-                )
-                for step in steps:
-                    result.transitions += 1
-                    if step is None:
-                        continue
-                    frame, child = step
-                    for name, antecedent, _consequent in checks:
-                        if name not in result.fired_assumptions and antecedent.evaluate(frame):
-                            result.fired_assumptions.add(name)
-                    if child not in visited:
-                        if len(visited) >= budget.max_states:
-                            result.verdict = UNKNOWN
-                            result.depth_completed = depth
-                            result.states_explored = len(visited)
-                            result.layer_transitions.append(
-                                result.transitions - layer_start
-                            )
-                            return result
-                        visited.add(child)
-                        next_frontier.append(child)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
-
-        result.verdict = REACHABLE
-        result.exhausted = True
-        result.depth_completed = depth
-        result.states_explored = len(visited)
-        return result
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _rebuild_trace(parents: Dict, state: Tuple) -> List[Tuple[Dict[str, int], Frame]]:
-        trace = []
-        cursor = state
-        while parents.get(cursor) is not None:
-            parent, inputs, frame = parents[cursor]
-            trace.append((inputs, frame))
-            cursor = parent
-        trace.reverse()
-        return trace
+def rebuild_trace(
+    parents: Dict[Hashable, Optional[Tuple]], state: Hashable
+) -> List[Tuple[Dict[str, int], Frame]]:
+    """The ``(inputs, frame)`` steps from the walk's root to ``state``,
+    following ``parents`` (``child -> (parent, inputs, frame)``)."""
+    trace = []
+    cursor = state
+    while parents.get(cursor) is not None:
+        parent, inputs, frame = parents[cursor]
+        trace.append((inputs, frame))
+        cursor = parent
+    trace.reverse()
+    return trace

@@ -1,30 +1,30 @@
-"""Shared reachability-graph cache for the property verifier.
+"""Shared reachability graph and the verifier's one product walk.
 
-:class:`repro.verifier.explorer.Explorer` re-simulates the design for
-every property it checks, even though the assumption-constrained RTL
-transition relation is identical across all properties of one
-(test, memory variant) pair — only the monitor component of the product
-differs.  :class:`ReachGraph` explores the design side **once**,
-memoizing each state's per-input ``(frame, successor)`` transitions
-into an explicit graph, and :class:`GraphExplorer` then verifies every
-:class:`~repro.sva.monitor.PropertyMonitor` as a product walk over the
-cached edges — no ``restore`` / ``eval_comb`` / ``tick`` calls after a
-node's first expansion, and ``cover_assumptions`` is a free read of the
-same graph once it has been built.
+The assumption-constrained RTL transition relation is identical across
+all properties of one (test, memory variant) pair — only the monitor
+component of the product differs.  :class:`ReachGraph` explores the
+design side **once**, memoizing each state's per-input
+``(frame, successor)`` transitions into an explicit graph, and
+:class:`GraphExplorer` then verifies every
+:class:`~repro.sva.monitor.PropertyMonitor` as a breadth-first product
+walk over the cached edges — no ``restore`` / ``eval_comb`` / ``tick``
+calls after a node's first expansion.  The covering-trace search is
+the same walk with a monitor that only records fired assumptions.
 
 Equivalence guarantee
 ---------------------
 
-``GraphExplorer`` reproduces :class:`Explorer` *bit for bit*: the same
-verdicts, ``depth_completed`` bounds, ``states_explored``,
-``transitions``, per-layer work profiles, fired assumptions, and
-counterexample traces.  This matters because the engine model
-(:mod:`repro.verifier.engines`) consumes ``transitions`` and
-``layer_transitions`` to model JasperGold hours, so the cached path
-replays the walk's would-be transition counts — including the pruned
-branches the per-property explorer pays for — keeping the Figure 13/14
-numbers identical.  ``tests/test_reach_equivalence.py`` cross-checks
-the two explorers over the full 56-test suite.
+The walk's logical results — verdicts, ``depth_completed`` bounds,
+``states_explored``, ``transitions``, per-layer work profiles, fired
+assumptions, and counterexample traces — are those of a walk that
+re-simulates the design for every property, pruned branches included.
+This matters because the engine model (:mod:`repro.verifier.engines`)
+consumes ``transitions`` and ``layer_transitions`` to model JasperGold
+hours, so the Figure 13/14 numbers depend on them.  The answers of
+that re-simulating walk are pinned in
+``tests/fixtures/golden_verdicts.json`` as one digest per (test,
+memory variant); ``tests/test_reach_equivalence.py`` and
+``tests/test_golden_verdicts.py`` replay them.
 
 Three details make the replay exact:
 
@@ -34,10 +34,10 @@ Three details make the replay exact:
   root carries ``first=1``; child lookups always use ``first=0``, so a
   re-reached reset snapshot becomes a distinct ``first=0`` node.
 * Product-walk ``visited`` sets are keyed by the *snapshot* (not the
-  node id), matching the per-property explorer's deduplication.
+  node id), so a re-reached reset state deduplicates as the design
+  state it is.
 * Expansion is lazy: a node's edges are simulated on first access, so
-  a budget-truncated walk expands exactly the design states it touches
-  and budgets behave identically.
+  a budget-truncated walk expands exactly the design states it touches.
 
 Cached frames are shared between the graph and every result that
 references them (counterexample traces included); treat them as
@@ -52,7 +52,7 @@ flushed to :mod:`repro.obs` counters by the RTLCheck flow.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.rtl.design import Design, Frame
 from repro.sva.monitor import AssumptionChecker, PropertyMonitor
@@ -60,12 +60,12 @@ from repro.verifier.explorer import (
     BOUNDED,
     Budget,
     ExplorationResult,
-    Explorer,
     FAILED,
     InstrumentedExplorer,
     PROVEN,
     REACHABLE,
     UNKNOWN,
+    rebuild_trace,
 )
 
 #: One outgoing transition: ``None`` when the assumptions prune the
@@ -198,17 +198,13 @@ class ReachGraph:
 
 
 class GraphExplorer(InstrumentedExplorer):
-    """Drop-in replacement for :class:`Explorer` backed by a shared
-    :class:`ReachGraph`.
+    """The explorer: ``check_property`` / ``cover_assumptions`` as
+    product walks over a shared :class:`ReachGraph`.
 
-    Exposes the same ``check_property`` / ``cover_assumptions`` API and
-    produces identical :class:`ExplorationResult` values; the design is
-    simulated only on graph cache misses — which is why walked
-    transitions are *not* reported as simulated frames here (the graph
-    reports its own ``sim_transitions``).
+    The design is simulated only on graph cache misses, so walked
+    transitions are not simulated frames; the graph reports its own
+    ``sim_transitions``.
     """
-
-    _simulates_frames = False
 
     def __init__(
         self,
@@ -225,7 +221,8 @@ class GraphExplorer(InstrumentedExplorer):
     def _check_property(
         self, monitor: PropertyMonitor, budget: Budget
     ) -> ExplorationResult:
-        """Verify one assertion as a product walk over the cached graph."""
+        """The breadth-first product walk over the cached graph (any
+        ``monitor`` with ``initial`` / ``step`` / ``verdict``)."""
         graph = self.graph
         root_key = (graph.snap(graph.root), monitor.initial())
         visited = {root_key}
@@ -244,16 +241,16 @@ class GraphExplorer(InstrumentedExplorer):
             layer_start = result.transitions
             for node, mon_state in frontier:
                 node_key = (graph.snap(node), mon_state)
-                # Fast path: iterate only the live edges; the input index
-                # recovers the per-property explorer's transition count,
-                # which includes the pruned edges in between.
+                # Iterate only the live edges; the input index recovers
+                # the logical transition count, which includes the
+                # pruned edges in between.
                 base = result.transitions
                 for index, inputs, frame, child_node in graph.live_successors(node):
                     result.transitions = base + index + 1
                     new_mon = monitor.step(mon_state, frame)
                     verdict = monitor.verdict(new_mon)
                     if verdict is False:
-                        trace = Explorer._rebuild_trace(parents, node_key)
+                        trace = rebuild_trace(parents, node_key)
                         trace.append((dict(inputs), frame))
                         result.verdict = FAILED
                         result.depth_completed = depth + 1
@@ -289,52 +286,36 @@ class GraphExplorer(InstrumentedExplorer):
         result.states_explored = len(visited)
         return result
 
-    # ------------------------------------------------------------------
-
     def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
-        """Covering-trace search (paper §4.1) as a read of the graph."""
-        graph = self.graph
-        root_key = graph.snap(graph.root)
-        visited = {root_key}
-        frontier = [graph.root]
-        result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
-        checks = self.assumptions.checks
-
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = UNKNOWN
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier = []
-            layer_start = result.transitions
-            for node in frontier:
-                base = result.transitions
-                for index, _inputs, frame, child_node in graph.live_successors(node):
-                    result.transitions = base + index + 1
-                    for name, antecedent, _consequent in checks:
-                        if name not in result.fired_assumptions and antecedent.evaluate(frame):
-                            result.fired_assumptions.add(name)
-                    child_key = graph.snap(child_node)
-                    if child_key not in visited:
-                        if len(visited) >= budget.max_states:
-                            result.verdict = UNKNOWN
-                            result.depth_completed = depth
-                            result.states_explored = len(visited)
-                            result.layer_transitions.append(
-                                result.transitions - layer_start
-                            )
-                            return result
-                        visited.add(child_key)
-                        next_frontier.append(child_node)
-                result.transitions = base + len(self.input_space)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
-
-        result.verdict = REACHABLE
-        result.exhausted = True
-        result.depth_completed = depth
-        result.states_explored = len(visited)
+        """Covering-trace search (paper §4.1): the property walk with a
+        monitor that records fired assumptions and never decides."""
+        monitor = _CoverMonitor(self.assumptions.checks)
+        result = self._check_property(monitor, budget)
+        result.fired_assumptions = monitor.fired
+        result.verdict = REACHABLE if result.verdict == PROVEN else UNKNOWN
         return result
+
+
+class _CoverMonitor:
+    """The covering walk's stand-in for a
+    :class:`~repro.sva.monitor.PropertyMonitor`: ``step`` records which
+    assumptions' antecedents fire on assumption-satisfying frames and
+    keeps one constant state, and ``verdict`` never decides, so the
+    walk visits exactly the reachable design states."""
+
+    def __init__(self, checks):
+        self.checks = checks
+        self.fired: Set[str] = set()
+
+    def initial(self) -> None:
+        return None
+
+    def step(self, state: None, frame: Frame) -> None:
+        fired = self.fired
+        for name, antecedent, _consequent in self.checks:
+            if name not in fired and antecedent.evaluate(frame):
+                fired.add(name)
+        return None
+
+    def verdict(self, state: None) -> None:
+        return None

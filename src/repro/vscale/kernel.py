@@ -35,7 +35,8 @@ kind  instruction
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import RtlError, SvaError
 from repro.isa import Addi, Halt, Lui, Lw, Sw
@@ -674,15 +675,48 @@ def _make_namespace(spec: _KernelSpec) -> dict:
     return namespace
 
 
+class _Lru:
+    """A small least-recently-used map: compiled kernels are pure
+    functions of their key, so an evicted entry recompiles to the same
+    source.  The cap keeps long fuzz campaigns (one spec per generated
+    program) from holding every kernel they ever compiled."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+
+    def __contains__(self, key: Tuple) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Tuple, default: Any = None) -> Any:
+        if key not in self._entries:
+            return default
+        self._entries.move_to_end(key)
+        return self._entries[key]
+
+    def put(self, key: Tuple, value: Any) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+
+#: Entries each compile cache keeps: above the paper suite's 112
+#: (test, memory variant) specs, so a whole suite stays cache-hot.
+KERNEL_CACHE_SIZE = 128
+
 #: spec.key() -> StepKernel.  Kernels are pure functions of the spec,
 #: so equal designs (every benchmark repeat, every fuzz worker on the
 #: same test) share one compiled kernel instead of recompiling.
-_KERNEL_CACHE: Dict[Tuple, StepKernel] = {}
+_KERNEL_CACHE = _Lru(KERNEL_CACHE_SIZE)
 
 #: (spec.key(), checks) -> fused step_checked function (or None when
 #: the checker's properties fall outside the compilable single-cycle
 #: fragment and the interpreted path must run instead).
-_CHECKED_CACHE: Dict[Tuple, Optional[object]] = {}
+_CHECKED_CACHE = _Lru(KERNEL_CACHE_SIZE)
 
 
 def build_multi_vscale_kernel(design) -> StepKernel:
@@ -723,7 +757,7 @@ def build_multi_vscale_kernel(design) -> StepKernel:
         np=np,
         source=step_src + "\n" + state_src + "\n" + drained_src,
     )
-    _KERNEL_CACHE[cache_key] = kernel
+    _KERNEL_CACHE.put(cache_key, kernel)
     return kernel
 
 
@@ -737,11 +771,11 @@ def build_checked_step(design, checker):
     checks = tuple(checker.checks)
     cache_key = (spec.key(), checks)
     if cache_key in _CHECKED_CACHE:
-        return _CHECKED_CACHE[cache_key]
+        return _CHECKED_CACHE.get(cache_key)
     try:
         source = _generate_checked_source(spec, checks)
         fused = compile_source(source, _make_namespace(spec), "step_checked")
     except SvaError:
         fused = None
-    _CHECKED_CACHE[cache_key] = fused
+    _CHECKED_CACHE.put(cache_key, fused)
     return fused

@@ -24,7 +24,7 @@ read it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RtlError
 from repro.vscale.params import DMEM_LOAD, DMEM_STORE
@@ -67,15 +67,6 @@ class MemoryBase:
         """Clock edge: ``new_txn`` is this cycle's address phase (if any);
         ``store_data`` is the data presented by a pending store's WB."""
         raise NotImplementedError
-
-    def snapshot(self) -> Hashable:
-        raise NotImplementedError
-
-    def restore(self, state: Hashable) -> None:
-        raise NotImplementedError
-
-    def _array_snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.array.items()))
 
     # -- flat slot protocol (array state backend) ----------------------
 
@@ -156,13 +147,6 @@ class BuggyMemory(MemoryBase):
             self.wdata = store_data
         self.pending = new_txn
 
-    def snapshot(self) -> Hashable:
-        return (self._array_snapshot(), self.pending, self.wvalid, self.waddr, self.wdata)
-
-    def restore(self, state: Hashable) -> None:
-        array, self.pending, self.wvalid, self.waddr, self.wdata = state
-        self.array = dict(array)
-
     def slot_count(self) -> int:
         return super().slot_count() + 3
 
@@ -193,13 +177,6 @@ class FixedMemory(MemoryBase):
         if self.pending is not None and self.pending[1] == DMEM_STORE:
             self.array[self.pending[2]] = store_data
         self.pending = new_txn
-
-    def snapshot(self) -> Hashable:
-        return (self._array_snapshot(), self.pending)
-
-    def restore(self, state: Hashable) -> None:
-        array, self.pending = state
-        self.array = dict(array)
 
     def write_slots(self, buf: List[int], base: int) -> None:
         self._write_base_slots(buf, base)

@@ -9,7 +9,7 @@ for this input" (§5.2).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import RtlError
 from repro.isa import encode
@@ -30,10 +30,9 @@ class MultiVScale(Design):
 
     ``state_backend`` selects the snapshot representation: ``"array"``
     (the default — interned flat slot vectors with the batched
-    expansion kernel, see ``docs/performance.md``), ``"kernel"`` (the
+    expansion kernel, see ``docs/performance.md``) or ``"kernel"`` (the
     array representation stepped by a compiled per-design function,
-    :mod:`repro.vscale.kernel`), or ``"dict"`` (the original
-    nested-tuple snapshots, kept for equivalence cross-checking).
+    :mod:`repro.vscale.kernel`).
     """
 
     def __init__(
@@ -68,7 +67,7 @@ class MultiVScale(Design):
             self.enable_array_state()
         elif state_backend == "kernel":
             self.enable_kernel_state()
-        elif state_backend != "dict":
+        else:
             raise RtlError(f"unknown state backend {state_backend!r}")
 
     # ------------------------------------------------------------------
@@ -164,26 +163,7 @@ class MultiVScale(Design):
             core.tick(views[core_id], stall_dx[core_id], load_data)
 
     # ------------------------------------------------------------------
-    # State protocol: dict backend (nested tuples) ...
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> Hashable:
-        return (
-            tuple(core.snapshot() for core in self.cores),
-            self.arbiter.snapshot(),
-            self.memory.snapshot(),
-        )
-
-    def restore_state(self, state: Hashable) -> None:
-        core_states, arb_state, mem_state = state
-        for core, core_state in zip(self.cores, core_states):
-            core.restore(core_state)
-        self.arbiter.restore(arb_state)
-        self.memory.restore(mem_state)
-        self._pending_tick = None
-
-    # ------------------------------------------------------------------
-    # ... and the flat slot layout (array backend)
+    # State protocol: the flat slot layout
     # ------------------------------------------------------------------
 
     def slot_layout(self) -> Optional[SlotLayout]:
@@ -237,8 +217,6 @@ class MultiVScale(Design):
                 buf[cur_slot] = select
                 append((frame, intern(tuple(buf))))
             return edges
-        if backend != "array":
-            return super().step_batch(state, input_space, frame_hook)
         n = len(input_space)
         self.restore(state)
         frame = self.eval_comb(input_space[0])

@@ -101,8 +101,8 @@ def harvest_traces(
     def is_drained(state: Hashable) -> bool:
         if state not in drained_memo:
             # ``state_drained`` reads the compiled quiescence predicate
-            # on the kernel backend (no restore); interpreter backends
-            # restore and ask the design, exactly as before.
+            # on the kernel backend (no restore); the array backend
+            # restores and asks the design.
             drained_memo[state] = design.state_drained(state)
         return drained_memo[state]
 

@@ -115,12 +115,6 @@ class TestKeys:
             get_test("sb"), "fixed"
         )
 
-    def test_explorer_choice_invalidates(self):
-        test = get_test("mp")
-        assert RTLCheck(use_reach_graph=True).verdict_key(
-            test, "fixed"
-        ) != RTLCheck(use_reach_graph=False).verdict_key(test, "fixed")
-
     def test_reach_key_shared_across_configs(self):
         # One reach graph serves every engine configuration: its key
         # does not involve the config or the µspec model.

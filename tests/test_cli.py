@@ -23,7 +23,6 @@ class TestParser:
     def test_suite_defaults(self):
         args = build_parser().parse_args(["suite"])
         assert args.jobs == 1
-        assert args.explorer == "graph"
         assert args.only is None
 
     def test_suite_jobs_and_subset(self):
@@ -34,8 +33,10 @@ class TestParser:
         assert args.only == ["mp", "sb"]
 
     def test_verify_explorer_choice(self):
-        args = build_parser().parse_args(["verify", "mp", "--explorer", "per-property"])
-        assert args.explorer == "per-property"
+        """The graph walk is the only explorer: there is no flag to
+        choose another."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "mp", "--explorer", "graph"])
 
     def test_observability_defaults_off(self):
         for command in (["verify", "mp"], ["suite"]):
@@ -102,10 +103,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mp [fixed]: verified" in out
         assert "lb [fixed]: verified" in out
-
-    def test_suite_per_property_explorer(self, capsys):
-        assert main(["suite", "--only", "mp", "--explorer", "per-property"]) == 0
-        assert "mp [fixed]: verified" in capsys.readouterr().out
 
     def test_suite_progress_lines(self, capsys):
         assert main(["suite", "--only", "mp", "lb"]) == 0

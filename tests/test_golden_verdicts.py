@@ -3,7 +3,9 @@
 ``tests/fixtures/golden_verdicts.json`` pins, per test, the model
 verdicts (SC/TSO/axiomatic), the exhaustive-RTL-enumeration agreement
 with SC on both memory variants, and RTLCheck's bug_found /
-verified_by_cover verdicts on both variants.  These tests replay the
+verified_by_cover verdicts on both variants plus a digest of each full
+verification (every verdict, bound, transition count, work profile,
+fired assumption, counterexample, and modeled hour).  These tests replay the
 pipeline against the fixture, so *any* behaviour change in an oracle
 layer — model semantics, RTL simulation, property generation, verifier
 engines — surfaces as a diff against a reviewed table rather than as a
@@ -18,6 +20,8 @@ intentionally-changed table with ``tools/regen_golden_verdicts.py``.
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,9 @@ from repro.difftest.oracles import (
     operational_verdicts,
     rtl_verdicts,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from regen_golden_verdicts import verification_digest  # noqa: E402
 
 FIXTURE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden_verdicts.json"
@@ -57,6 +64,13 @@ class TestFixtureShape:
         suite_names = [test.name for test in paper_suite()]
         assert sorted(TABLE) == sorted(suite_names)
         assert len(suite_names) == 56
+
+    def test_every_row_carries_both_digests(self):
+        for row in TABLE.values():
+            for variant in ("fixed", "buggy"):
+                digest = row[f"verifier_{variant}_digest"]
+                assert len(digest) == 64, row["test"]
+                int(digest, 16)
 
     def test_fast_subset_rows_exist(self):
         for name in FAST_SUBSET:
@@ -128,3 +142,4 @@ class TestVerifierColumns:
             result.verified_by_cover
             == row[f"verifier_{variant}_verified_by_cover"]
         )
+        assert verification_digest(result) == row[f"verifier_{variant}_digest"]

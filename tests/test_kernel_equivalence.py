@@ -1,4 +1,4 @@
-"""Kernel vs. array vs. dict state-backend equivalence.
+"""Kernel vs. array state-backend equivalence.
 
 The kernel backend (``repro.rtl.kernel`` / ``repro.vscale.kernel``)
 keeps the array backend's interned flat slot vectors but steps them
@@ -7,7 +7,7 @@ Python generated from the design's slot layout, plus a fused compiled
 assumption check and an optional numpy whole-frontier matrix path.  It
 is a pure execution-strategy change: verdicts, reach graphs, simulated
 traces, VCD waveforms, architectural enumerations, and fuzz reports
-must be bit-identical to both interpreter backends.  These tests prove
+must be bit-identical to the interpreted array backend.  These tests prove
 that contract end to end.
 
 Normalization: wall-clock fields (``*seconds``), the vector-backend
@@ -36,7 +36,7 @@ from repro.verifier.simulation import simulate_check
 from repro.vscale.soc import MultiVScale
 from repro.vscale.trace import harvest_traces
 
-BACKENDS = ["kernel", "array", "dict"]
+BACKENDS = ["kernel", "array"]
 SUBSET = ["mp", "sb", "lb", "iwp24", "n4"]
 VARIANTS = ["fixed", "buggy"]
 
@@ -108,22 +108,11 @@ class TestVerdictEquivalence:
             results[backend] = rc.verify_test(
                 get_test(name), memory_variant=variant
             )
-        kernel, array, dict_ = (results[b] for b in BACKENDS)
+        kernel, array = (results[b] for b in BACKENDS)
         assert _canonical(kernel) == _canonical(array), f"{name}/{variant}"
-        assert _canonical(kernel) == _canonical(dict_), f"{name}/{variant}"
-        assert kernel.modeled_hours == dict_.modeled_hours
-        assert kernel.graph_states == dict_.graph_states
-        assert kernel.graph_transitions == dict_.graph_transitions
-
-    def test_per_property_explorer_agrees(self):
-        """The non-graph (per-property) explorer batches through the
-        fused kernel check too."""
-        for name in ["mp", "sb"]:
-            canon = {}
-            for backend in BACKENDS:
-                rc = RTLCheck(state_backend=backend, use_reach_graph=False)
-                canon[backend] = _canonical(rc.verify_test(get_test(name)))
-            assert canon["kernel"] == canon["array"] == canon["dict"], name
+        assert kernel.modeled_hours == array.modeled_hours
+        assert kernel.graph_states == array.graph_states
+        assert kernel.graph_transitions == array.graph_transitions
 
     def test_counterexample_vcd_identical(self):
         """Buggy-memory counterexamples render to byte-identical VCD."""
@@ -141,13 +130,9 @@ class TestVerdictEquivalence:
                 [frame for _inputs, frame in p.ground_truth.counterexample]
                 for p in failed
             ]
-        assert len(traces["kernel"]) == len(traces["dict"])
-        for kernel_trace, array_trace, dict_trace in zip(
-            traces["kernel"], traces["array"], traces["dict"]
-        ):
-            rendered = render_vcd(kernel_trace)
-            assert rendered == render_vcd(array_trace)
-            assert rendered == render_vcd(dict_trace)
+        assert len(traces["kernel"]) == len(traces["array"])
+        for kernel_trace, array_trace in zip(traces["kernel"], traces["array"]):
+            assert render_vcd(kernel_trace) == render_vcd(array_trace)
 
     def test_outcome_enumeration_agrees(self):
         """The architectural enumeration behind difftest's RTL oracle —
@@ -161,12 +146,12 @@ class TestVerdictEquivalence:
                 )
                 for backend in BACKENDS
             }
-            kernel, array, dict_ = (enums[b] for b in BACKENDS)
-            assert kernel.outcomes == array.outcomes == dict_.outcomes, variant
-            assert kernel.complete == dict_.complete
-            assert kernel.states == array.states == dict_.states
-            assert kernel.transitions == dict_.transitions
-            assert kernel.drained_states == dict_.drained_states
+            kernel, array = (enums[b] for b in BACKENDS)
+            assert kernel.outcomes == array.outcomes, variant
+            assert kernel.complete == array.complete
+            assert kernel.states == array.states
+            assert kernel.transitions == array.transitions
+            assert kernel.drained_states == array.drained_states
 
 
 class TestGraphStructure:
@@ -175,11 +160,11 @@ class TestGraphStructure:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_graphs_isomorphic_by_construction_order(self, variant):
         kernel_graph, _ = _build_full_graph("mp", variant, "kernel")
-        dict_graph, _ = _build_full_graph("mp", variant, "dict")
-        assert kernel_graph.num_nodes == dict_graph.num_nodes
-        assert kernel_graph.expanded_nodes == dict_graph.expanded_nodes
-        assert kernel_graph.sim_transitions == dict_graph.sim_transitions
-        assert _edge_shape(kernel_graph) == _edge_shape(dict_graph)
+        array_graph, _ = _build_full_graph("mp", variant, "array")
+        assert kernel_graph.num_nodes == array_graph.num_nodes
+        assert kernel_graph.expanded_nodes == array_graph.expanded_nodes
+        assert kernel_graph.sim_transitions == array_graph.sim_transitions
+        assert _edge_shape(kernel_graph) == _edge_shape(array_graph)
 
     def test_kernel_graph_pickle_round_trips(self):
         """Compiled kernels never pickle (the closure is rebuilt on
@@ -228,19 +213,16 @@ class TestSimulation:
                     max_cycles=40,
                     seed=7,
                 )
-            kernel, array, dict_ = (reports[b] for b in BACKENDS)
-            for other in (array, dict_):
-                assert kernel.schedules_run == other.schedules_run
-                assert kernel.cycles_simulated == other.cycles_simulated
-                assert kernel.truncated_traces == other.truncated_traces
-                assert kernel.violations == other.violations
-                assert (
-                    kernel.first_violation_schedule
-                    == other.first_violation_schedule
-                )
-                assert (
-                    kernel.first_violation_trace == other.first_violation_trace
-                )
+            kernel, array = (reports[b] for b in BACKENDS)
+            assert kernel.schedules_run == array.schedules_run
+            assert kernel.cycles_simulated == array.cycles_simulated
+            assert kernel.truncated_traces == array.truncated_traces
+            assert kernel.violations == array.violations
+            assert (
+                kernel.first_violation_schedule
+                == array.first_violation_schedule
+            )
+            assert kernel.first_violation_trace == array.first_violation_trace
 
 
 class TestHarvestDeterminism:
@@ -259,11 +241,11 @@ class TestHarvestDeterminism:
                 )
                 for backend in BACKENDS
             }
-            kernel, array, dict_ = (harvests[b] for b in BACKENDS)
-            assert kernel.traces == array.traces == dict_.traces, variant
-            assert kernel.sampled == dict_.sampled
-            assert kernel.undrained == dict_.undrained
-            assert kernel.cycles == dict_.cycles
+            kernel, array = (harvests[b] for b in BACKENDS)
+            assert kernel.traces == array.traces, variant
+            assert kernel.sampled == array.sampled
+            assert kernel.undrained == array.undrained
+            assert kernel.cycles == array.cycles
 
     def test_harvest_deterministic_on_kernel(self):
         first = harvest_traces(
@@ -318,16 +300,16 @@ class TestBackendSelection:
             )
             for backend in BACKENDS
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
 
     def test_kernel_degrades_gracefully_without_slot_layout(self):
         """A design with no slot layout (variable-size store buffers)
-        stays on dict snapshots even when kernel is requested."""
+        keeps its own snapshots even when kernel is requested."""
         from repro.vscale.tso import MultiVScaleTSO
 
         design = MultiVScaleTSO(compile_test(get_test("mp")))
         assert design.enable_kernel_state() is False
-        assert design.state_backend == "dict"
+        assert design.state_backend is None
 
     def test_kernel_counters_recorded(self):
         rc = RTLCheck(state_backend="kernel", observe=True)
@@ -335,3 +317,34 @@ class TestBackendSelection:
         counters = result.obs["counters"]
         assert counters.get("kernel.batched_steps", 0) > 0
         assert "kernel.compile_seconds" in counters
+
+
+class TestCompileCache:
+    """The compiled-kernel caches are bounded LRUs whose evictions are
+    invisible: a recompiled kernel is the same code."""
+
+    def test_lru_evicts_least_recently_used(self):
+        from repro.vscale.kernel import KERNEL_CACHE_SIZE, _Lru
+
+        # A whole suite (56 tests x 2 memory variants) stays cache-hot.
+        assert KERNEL_CACHE_SIZE > 2 * len(paper_suite())
+        lru = _Lru(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # refreshes "a"
+        lru.put("c", 3)
+        assert "a" in lru and "c" in lru and "b" not in lru
+        assert len(lru) == 2
+
+    def test_evicted_kernel_recompiles_identically(self, monkeypatch):
+        from repro.vscale import kernel as vscale_kernel
+
+        monkeypatch.setattr(vscale_kernel, "_KERNEL_CACHE", vscale_kernel._Lru(1))
+        mp = compile_test(get_test("mp"))
+        first = MultiVScale(mp, "fixed", state_backend="kernel").step_kernel
+        # Compiling a second spec evicts mp's kernel from the 1-entry cache.
+        MultiVScale(compile_test(get_test("sb")), "fixed", state_backend="kernel")
+        assert len(vscale_kernel._KERNEL_CACHE) == 1
+        again = MultiVScale(mp, "fixed", state_backend="kernel").step_kernel
+        assert again is not first
+        assert again.source == first.source

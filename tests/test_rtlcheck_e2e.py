@@ -167,12 +167,6 @@ class TestSuiteSlice:
         assert 0 < result.graph_build_seconds < result.wall_seconds
         assert all(p.check_seconds >= 0 for p in result.properties)
 
-    def test_per_property_explorer_leaves_graph_counters_zero(self):
-        result = RTLCheck(use_reach_graph=False).verify_test(get_test("mp"))
-        assert result.graph_states == 0
-        assert result.graph_transitions == 0
-        assert result.graph_build_seconds == 0.0
-
     @pytest.mark.slow
     def test_full_suite_verifies_on_fixed_design(self, rtlcheck):
         """The paper's headline: after the fix, the multicore V-scale

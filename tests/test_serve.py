@@ -70,7 +70,6 @@ def cli_suite_report(cache_dir, test_names=SUITE_TESTS, observe=False):
     models a local run that passed ``--report``)."""
     rtlcheck = RTLCheck(
         config=CONFIGS["Full_Proof"],
-        use_reach_graph=True,
         observe=observe,
         cache=VerificationCache(str(cache_dir)),
         state_backend="array",
@@ -140,6 +139,8 @@ class TestValidateSpec:
             {"kind": "fuzz", "params": {"oracles": ["astrology"]}},
             {"kind": "fuzz", "params": {"jobs": 0}},
             {"kind": "fuzz", "params": {"long_programs": True, "oracles": ["operational"]}},
+            {"kind": "suite", "params": {"tests": ["mp"], "explorer": "graph"}},
+            {"kind": "suite", "params": {"tests": ["mp"], "state_backend": "dict"}},
         ],
     )
     def test_malformed_specs_are_rejected(self, payload):

@@ -1,17 +1,14 @@
-"""Dict vs. array state-backend equivalence.
+"""The array state backend: verdicts, graphs, and representation.
 
 The array backend (flat interned slot vectors + batched frontier
-expansion, ``repro.rtl.design``) is a pure representation change: it
-must produce bit-identical reachability graphs, verdicts, modeled
-hours, counterexample traces, and VCD waveforms to the classic
-dict/deepcopy backend.  These tests prove that contract over the
-golden-verdict fixture tests on both memory variants, and pin the
+expansion, ``repro.rtl.design``) must reproduce the verdicts pinned in
+``tests/fixtures/golden_verdicts.json`` — captured when a nested-tuple
+snapshot backend still existed as the reference — and build graphs,
+counterexample traces, VCD waveforms, and outcome enumerations
+identical to the compiled-kernel backend.  These tests also pin the
 representation-level wins the backend exists for (hash-consing,
-compact pickles, snapshot/restore round-trips).
-
-Normalization: wall-clock fields (``*seconds``) and the array-only
-``state.*`` observability counters are stripped before comparison —
-they are the *only* permitted divergence between backends.
+compact pickles, snapshot/restore round-trips, an injective flat
+encoding).
 
 Set ``RTLCHECK_STATE_BACKEND_FULL=1`` to sweep the full 56-test suite
 on both memory variants (minutes); the default subset keeps CI fast.
@@ -20,6 +17,8 @@ on both memory variants (minutes); the default subset keeps CI fast.
 import json
 import os
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +35,9 @@ from repro.verifier.outcomes import enumerate_design_outcomes
 from repro.verifier.reach import ReachGraph
 from repro.vscale.soc import MultiVScale
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from regen_golden_verdicts import verification_digest  # noqa: E402
+
 #: Representative subset: message-passing and store-buffering (the
 #: canonical forbidden/permitted pair), a load-buffer shape, a 4-core
 #: write-atomicity test, and an n-test with fences.
@@ -45,23 +47,8 @@ VARIANTS = ["fixed", "buggy"]
 FULL_SWEEP = os.environ.get("RTLCHECK_STATE_BACKEND_FULL") == "1"
 SWEEP = [t.name for t in paper_suite()] if FULL_SWEEP else SUBSET
 
-
-def _scrub(obj):
-    """Drop wall-clock fields and array-only counters, recursively."""
-    if isinstance(obj, dict):
-        return {
-            key: _scrub(value)
-            for key, value in obj.items()
-            if not (isinstance(key, str) and key.endswith("seconds"))
-            and not (isinstance(key, str) and key.startswith("state."))
-        }
-    if isinstance(obj, list):
-        return [_scrub(item) for item in obj]
-    return obj
-
-
-def _canonical(verification) -> str:
-    return json.dumps(_scrub(verification.to_dict()), sort_keys=True)
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_verdicts.json"
+GOLDEN = {row["test"]: row for row in json.loads(FIXTURE.read_text())["tests"]}
 
 
 def _build_full_graph(name, variant, backend):
@@ -83,9 +70,9 @@ def _build_full_graph(name, variant, backend):
 
 def _edge_shape(graph):
     """Backend-independent structural view: per-node edge lists with
-    frames as plain dicts and children as node ids (snapshots are
-    interned ids on one backend and nested tuples on the other, so
-    they are deliberately not part of the shape)."""
+    frames as plain dicts and children as node ids (snapshot ids are
+    interning-order artifacts, so they are deliberately not part of the
+    shape)."""
     return [
         [
             None if edge is None else (dict(edge[0]), edge[1])
@@ -96,33 +83,22 @@ def _edge_shape(graph):
 
 
 class TestVerdictEquivalence:
-    """Full-pipeline agreement: graphs, verdicts, modeled hours."""
+    """Full-pipeline agreement: verdicts, modeled hours, waveforms."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("name", SWEEP)
     def test_serialized_verdicts_identical(self, name, variant):
-        array_rc = RTLCheck(state_backend="array", observe=True)
-        dict_rc = RTLCheck(state_backend="dict", observe=True)
-        array = array_rc.verify_test(get_test(name), memory_variant=variant)
-        seed = dict_rc.verify_test(get_test(name), memory_variant=variant)
-        assert _canonical(array) == _canonical(seed), f"{name}/{variant}"
-        assert array.modeled_hours == seed.modeled_hours
-        assert array.graph_states == seed.graph_states
-        assert array.graph_transitions == seed.graph_transitions
-
-    def test_per_property_explorer_agrees(self):
-        """The non-graph (per-property) explorer path batches too."""
-        for name in ["mp", "sb"]:
-            array_rc = RTLCheck(state_backend="array", use_reach_graph=False)
-            dict_rc = RTLCheck(state_backend="dict", use_reach_graph=False)
-            array = array_rc.verify_test(get_test(name))
-            seed = dict_rc.verify_test(get_test(name))
-            assert _canonical(array) == _canonical(seed), name
+        """The serialized verification matches the pinned digest."""
+        result = RTLCheck(state_backend="array").verify_test(
+            get_test(name), memory_variant=variant
+        )
+        digest = GOLDEN[name][f"verifier_{variant}_digest"]
+        assert verification_digest(result) == digest, f"{name}/{variant}"
 
     def test_counterexample_vcd_identical(self):
         """Buggy-memory counterexamples render to byte-identical VCD."""
         traces = {}
-        for backend in ("array", "dict"):
+        for backend in ("array", "kernel"):
             rc = RTLCheck(state_backend=backend)
             result = rc.verify_test(get_test("mp"), memory_variant="buggy")
             failed = [
@@ -135,9 +111,9 @@ class TestVerdictEquivalence:
                 [frame for _inputs, frame in p.ground_truth.counterexample]
                 for p in failed
             ]
-        assert len(traces["array"]) == len(traces["dict"])
-        for array_trace, dict_trace in zip(traces["array"], traces["dict"]):
-            assert render_vcd(array_trace) == render_vcd(dict_trace)
+        assert len(traces["array"]) == len(traces["kernel"])
+        for array_trace, kernel_trace in zip(traces["array"], traces["kernel"]):
+            assert render_vcd(array_trace) == render_vcd(kernel_trace)
 
     def test_outcome_enumeration_agrees(self):
         """The architectural enumeration behind difftest's RTL oracle
@@ -147,14 +123,14 @@ class TestVerdictEquivalence:
             array = enumerate_design_outcomes(
                 MultiVScale(compiled, variant, state_backend="array")
             )
-            seed = enumerate_design_outcomes(
-                MultiVScale(compiled, variant, state_backend="dict")
+            kernel = enumerate_design_outcomes(
+                MultiVScale(compiled, variant, state_backend="kernel")
             )
-            assert array.outcomes == seed.outcomes, variant
-            assert array.complete == seed.complete
-            assert array.states == seed.states
-            assert array.transitions == seed.transitions
-            assert array.drained_states == seed.drained_states
+            assert array.outcomes == kernel.outcomes, variant
+            assert array.complete == kernel.complete
+            assert array.states == kernel.states
+            assert array.transitions == kernel.transitions
+            assert array.drained_states == kernel.drained_states
 
 
 class TestGraphStructure:
@@ -163,11 +139,11 @@ class TestGraphStructure:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_graphs_isomorphic_by_construction_order(self, variant):
         array_graph, _ = _build_full_graph("mp", variant, "array")
-        dict_graph, _ = _build_full_graph("mp", variant, "dict")
-        assert array_graph.num_nodes == dict_graph.num_nodes
-        assert array_graph.expanded_nodes == dict_graph.expanded_nodes
-        assert array_graph.sim_transitions == dict_graph.sim_transitions
-        assert _edge_shape(array_graph) == _edge_shape(dict_graph)
+        kernel_graph, _ = _build_full_graph("mp", variant, "kernel")
+        assert array_graph.num_nodes == kernel_graph.num_nodes
+        assert array_graph.expanded_nodes == kernel_graph.expanded_nodes
+        assert array_graph.sim_transitions == kernel_graph.sim_transitions
+        assert _edge_shape(array_graph) == _edge_shape(kernel_graph)
 
     def test_interning_bounds_resident_states(self):
         """Regression for the memory win: a full mp-suite build interns
@@ -193,13 +169,9 @@ class TestGraphStructure:
 
     def test_array_graph_pickle_round_trips(self):
         """Pickled array-backend graphs rehydrate with identical
-        structure and keep expanding; the interned form is more compact
-        than the dict backend's nested-tuple snapshots."""
+        structure and keep expanding."""
         array_graph, _ = _build_full_graph("mp", "fixed", "array")
-        dict_graph, _ = _build_full_graph("mp", "fixed", "dict")
-        blob = pickle.dumps(array_graph)
-        assert len(blob) < len(pickle.dumps(dict_graph))
-        revived = pickle.loads(blob)
+        revived = pickle.loads(pickle.dumps(array_graph))
         assert revived.num_nodes == array_graph.num_nodes
         assert _edge_shape(revived) == _edge_shape(array_graph)
         # The revived design's interner still resolves every node.
@@ -209,6 +181,18 @@ class TestGraphStructure:
 
 class TestSnapshotRestore:
     """Round-trip and injectivity of the flat encoding."""
+
+    @staticmethod
+    def _structural_state(design):
+        """A fixed-memory design's state read straight off its component
+        objects — an encoding-independent reference for snapshot
+        equality."""
+        memory = design.memory
+        return (
+            tuple(core.snapshot() for core in design.cores),
+            design.arbiter.snapshot(),
+            (tuple(sorted(memory.array.items())), memory.pending),
+        )
 
     def _stepped(self, backend, schedule, name="mp"):
         compiled = compile_test(get_test(name))
@@ -242,22 +226,23 @@ class TestSnapshotRestore:
     )
     @settings(max_examples=30, deadline=None)
     def test_flat_encoding_is_injective(self, prefix_a, prefix_b):
-        """Two executions reach the same interned id exactly when the
-        dict backend considers their states equal — the flat encoding
+        """Two executions reach the same interned id exactly when their
+        component-level structural states are equal — the flat encoding
         loses nothing (bools, None sentinels, memory words)."""
         compiled = compile_test(get_test("sb"))
         array = MultiVScale(compiled, "fixed", state_backend="array")
-        dict_ids = []
+        structural = []
         array_ids = []
         for schedule in (prefix_a, prefix_b):
             array.reset()
-            probe = self._stepped("dict", schedule, name="sb")
             for select in schedule:
                 array.eval_comb({"arb_select": select})
                 array.tick()
+            structural.append(self._structural_state(array))
             array_ids.append(array.snapshot())
-            dict_ids.append(probe.snapshot())
-        assert (array_ids[0] == array_ids[1]) == (dict_ids[0] == dict_ids[1])
+        assert (array_ids[0] == array_ids[1]) == (
+            structural[0] == structural[1]
+        )
 
     @given(
         states=st.lists(
@@ -328,11 +313,14 @@ class TestBackendSelection:
         args = build_parser().parse_args(["verify", "mp"])
         assert args.state_backend == "array"
         args = build_parser().parse_args(
-            ["suite", "--state-backend", "dict"]
+            ["suite", "--state-backend", "kernel"]
         )
-        assert args.state_backend == "dict"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["verify", "mp", "--state-backend", "x"])
+        assert args.state_backend == "kernel"
+        for bad in ("x", "dict"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["verify", "mp", "--state-backend", bad]
+                )
 
     def test_cache_keys_distinguish_backends(self):
         from repro.cache.keys import reach_key
@@ -347,6 +335,6 @@ class TestBackendSelection:
                 program_mapping_factory=Mapping,
                 state_backend=backend,
             )
-            for backend in ("array", "dict")
+            for backend in ("array", "kernel")
         }
         assert len(keys) == 2

@@ -3,8 +3,7 @@
 These fields (added alongside the shared reachability-graph cache)
 profile where verification wall-clock goes; the invariants here pin
 their meaning: phases are disjoint slices of the wall time, graph
-counters are populated exactly when the graph-backed explorer runs,
-and every property carries its own check time.
+counters are populated, and every property carries its own check time.
 """
 
 import pytest
@@ -14,18 +13,9 @@ from repro import RTLCheck, get_test
 
 @pytest.fixture(scope="module")
 def sb_graph():
-    """sb under the graph explorer — it survives the cover shortcut, so
-    both cover and proof phases run."""
-    return RTLCheck(use_reach_graph=True).verify_test(
-        get_test("sb"), memory_variant="fixed"
-    )
-
-
-@pytest.fixture(scope="module")
-def sb_per_property():
-    return RTLCheck(use_reach_graph=False).verify_test(
-        get_test("sb"), memory_variant="fixed"
-    )
+    """sb — it survives the cover shortcut, so both cover and proof
+    phases run."""
+    return RTLCheck().verify_test(get_test("sb"), memory_variant="fixed")
 
 
 class TestPhaseBudget:
@@ -34,10 +24,6 @@ class TestPhaseBudget:
             sb_graph.cover_seconds + sb_graph.proof_seconds
             <= sb_graph.wall_seconds
         )
-
-    def test_phases_fit_inside_wall_per_property(self, sb_per_property):
-        result = sb_per_property
-        assert result.cover_seconds + result.proof_seconds <= result.wall_seconds
 
     def test_phases_fit_inside_wall_cover_shortcut(self):
         result = RTLCheck().verify_test(get_test("mp"), memory_variant="fixed")
@@ -51,13 +37,6 @@ class TestGraphCounters:
         assert sb_graph.graph_states > 0
         assert sb_graph.graph_transitions > 0
         assert 0.0 < sb_graph.graph_build_seconds < sb_graph.wall_seconds
-
-    def test_per_property_explorer_leaves_graph_fields_zero(
-        self, sb_per_property
-    ):
-        assert sb_per_property.graph_states == 0
-        assert sb_per_property.graph_transitions == 0
-        assert sb_per_property.graph_build_seconds == 0.0
 
 
 class TestPropertyTiming:

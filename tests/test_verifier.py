@@ -23,7 +23,6 @@ from repro.sva.monitor import run_monitor_on_trace
 from repro.verifier import (
     BOUNDED,
     Budget,
-    Explorer,
     FAILED,
     GraphExplorer,
     PROVEN,
@@ -42,16 +41,16 @@ from repro.verifier.explorer import ExplorationResult
 from repro.vscale.soc import MultiVScale
 
 
-def make_explorer(test_name, variant="fixed", cls=Explorer):
+def make_explorer(test_name, variant="fixed", cls=GraphExplorer):
     compiled = compile_test(get_test(test_name))
     design = MultiVScale(compiled, variant)
     assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
     return cls(design, AssumptionChecker(assumptions)), compiled
 
 
-@pytest.fixture(params=[Explorer, GraphExplorer], ids=["per-property", "graph"])
+@pytest.fixture(params=[GraphExplorer], ids=["graph"])
 def explorer_cls(request):
-    """Both explorer backends must satisfy the same contract."""
+    """The explorer class whose walk contract the tests pin."""
     return request.param
 
 

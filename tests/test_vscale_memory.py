@@ -8,6 +8,17 @@ from repro.vscale.params import DMEM_LOAD, DMEM_STORE
 X, Y = 40, 41
 
 
+def _snapshot(mem):
+    """The memory's state through its flat slot protocol."""
+    buf = [0] * mem.slot_count()
+    mem.write_slots(buf, 0)
+    return buf
+
+
+def _restore(mem, snap):
+    mem.read_slots(snap, 0)
+
+
 class TestFixedMemory:
     def test_store_commits_one_cycle_after_data_phase(self):
         mem = FixedMemory({X: 0})
@@ -46,10 +57,10 @@ class TestFixedMemory:
     def test_snapshot_restore(self):
         mem = FixedMemory({X: 0})
         mem.tick((0, DMEM_STORE, X), 0)
-        snap = mem.snapshot()
+        snap = _snapshot(mem)
         mem.tick(None, 5)
         assert mem.read_word(X) == 5
-        mem.restore(snap)
+        _restore(mem, snap)
         assert mem.read_word(X) == 0
         mem.tick(None, 5)
         assert mem.read_word(X) == 5
@@ -124,8 +135,8 @@ class TestBuggyMemory:
         mem = BuggyMemory({X: 0})
         mem.tick((0, DMEM_STORE, X), 0)
         mem.tick(None, 7)
-        snap = mem.snapshot()
+        snap = _snapshot(mem)
         mem.tick((0, DMEM_STORE, Y), 0)
-        mem.restore(snap)
+        _restore(mem, snap)
         assert mem.wdata == 7 and mem.waddr == X and mem.wvalid == 1
         assert mem.pending is None

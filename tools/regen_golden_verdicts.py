@@ -8,7 +8,11 @@ The table pins, for every test in the 56-test paper suite:
 * the **RTL verdicts** — whether exhaustive Multi-V-scale enumeration
   matches the SC outcome set, on the fixed and buggy memories;
 * the **verifier verdicts** — RTLCheck ``bug_found`` /
-  ``verified_by_cover`` on both memories.
+  ``verified_by_cover`` on both memories, plus a digest of each full
+  :class:`~repro.core.results.TestVerification` (see
+  :func:`verification_digest`) that pins every verdict, bound,
+  transition count, work profile, fired assumption, counterexample,
+  and modeled hour.
 
 ``tests/test_golden_verdicts.py`` replays the cheap columns on every
 tier-1 run and the expensive ones under ``RTLCHECK_GOLDEN_FULL=1``; any
@@ -25,6 +29,7 @@ enumerates both memory variants — expect tens of minutes on one core.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -43,6 +48,34 @@ FIXTURE = os.path.join(
 )
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
+
+
+def strip_seconds(obj):
+    """Drop wall-clock fields (every ``*seconds`` key) recursively."""
+    if isinstance(obj, dict):
+        return {
+            k: strip_seconds(v)
+            for k, v in obj.items()
+            if not k.endswith("seconds")
+        }
+    if isinstance(obj, list):
+        return [strip_seconds(v) for v in obj]
+    return obj
+
+
+def verification_view(result) -> dict:
+    """``result.to_dict()`` without timings and observability state —
+    everything left is deterministic in the verification inputs."""
+    view = strip_seconds(result.to_dict())
+    # Observability counters describe the run, not the verdict.
+    view.update(counters={}, gauges={})
+    return view
+
+
+def verification_digest(result) -> str:
+    """sha256 of :func:`verification_view` (canonical JSON)."""
+    text = json.dumps(verification_view(result), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def compute_row(name: str) -> dict:
@@ -78,6 +111,7 @@ def compute_row(name: str) -> dict:
         result = checker.verify_test(test, variant)
         row[f"verifier_{variant}_bug_found"] = result.bug_found
         row[f"verifier_{variant}_verified_by_cover"] = result.verified_by_cover
+        row[f"verifier_{variant}_digest"] = verification_digest(result)
     return row
 
 
