@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import SvaError
 from repro.rtl.design import Frame
-from repro.sva.ast import BoolExpr, SBool, SCat, SRepeat, Sequence
+from repro.sva.ast import BConst, BoolExpr, SBool, SCat, SRepeat, Sequence
 
 Predicate = Callable[[Frame], bool]
 
@@ -35,8 +35,10 @@ class Nfa:
     start_states: FrozenSet[int]
     accepting: FrozenSet[int]
     transitions: Dict[int, List[Tuple[BoolExpr, int]]]
-    #: Predicate-memo economics, accumulated across :meth:`step` calls
-    #: and flushed to ``repro.obs`` counters by the RTLCheck flow.
+    #: Atom-value economics of the walks that step this NFA: values
+    #: read from / first evaluated into the walk's frame labels (see
+    #: :class:`repro.sva.monitor.MonitorTable`), flushed to
+    #: ``repro.obs`` counters by the RTLCheck flow.
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -50,7 +52,6 @@ class Nfa:
         # memoize each (pure) predicate's value for this frame.
         values: Dict[int, bool] = {}
         transitions = self.transitions
-        hits = misses = 0
         for state in states:
             for expr, target in transitions.get(state, ()):
                 if target in nxt:
@@ -58,15 +59,9 @@ class Nfa:
                 key = id(expr)
                 value = values.get(key)
                 if value is None:
-                    value = bool(expr.evaluate(frame))
-                    values[key] = value
-                    misses += 1
-                else:
-                    hits += 1
+                    value = values[key] = bool(expr.evaluate(frame))
                 if value:
                     nxt.add(target)
-        self.memo_hits += hits
-        self.memo_misses += misses
         return frozenset(nxt)
 
     def accepts(self, states: FrozenSet[int]) -> bool:
@@ -77,23 +72,6 @@ class Nfa:
         are not counted as property satisfaction in SVA; we surface this
         so callers can reject degenerate sequences.)"""
         return self.accepts(self.start_states)
-
-    def can_loop_forever(self, states: FrozenSet[int], frame: Frame) -> bool:
-        """Could the NFA still reach acceptance if ``frame`` repeated
-        forever?  Used to resolve pending matches at quiescence."""
-        seen = set(states)
-        frontier = set(states)
-        while frontier:
-            if not self.accepting.isdisjoint(frontier):
-                return True
-            new: Set[int] = set()
-            for state in frontier:
-                for expr, target in self.transitions.get(state, ()):
-                    if target not in seen and expr.evaluate(frame):
-                        new.add(target)
-            seen |= new
-            frontier = new
-        return False
 
 
 class _Builder:
@@ -151,8 +129,6 @@ class _Builder:
             # frames.  ##k for k>1 inserts k-1 free cycles.
             cursor = left_exit
             for _ in range(seq.delay - 1):
-                from repro.sva.ast import BConst
-
                 nxt = self.new_state()
                 self.add_edge(cursor, BConst(True), nxt)
                 cursor = nxt
@@ -192,13 +168,7 @@ def compile_sequence(seq: Sequence) -> Nfa:
     )
     return Nfa(
         num_states=builder.count,
-        start_states=frozenset(closures[entry]) & _reachable_sources(transitions, closures[entry]),
+        start_states=frozenset(closures[entry]),
         accepting=accepting,
         transitions=transitions,
     )
-
-
-def _reachable_sources(transitions, start_closure) -> FrozenSet[int]:
-    # Keep closure states that either carry transitions or are accepting
-    # anchors; harmless to keep everything, so just return the closure.
-    return frozenset(start_closure)

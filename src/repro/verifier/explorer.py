@@ -34,7 +34,7 @@ flushed to the active recorder — a no-op unless a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.rtl.design import Frame
@@ -171,18 +171,3 @@ class InstrumentedExplorer:
 
     def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
         raise NotImplementedError
-
-
-def rebuild_trace(
-    parents: Dict[Hashable, Optional[Tuple]], state: Hashable
-) -> List[Tuple[Dict[str, int], Frame]]:
-    """The ``(inputs, frame)`` steps from the walk's root to ``state``,
-    following ``parents`` (``child -> (parent, inputs, frame)``)."""
-    trace = []
-    cursor = state
-    while parents.get(cursor) is not None:
-        parent, inputs, frame = parents[cursor]
-        trace.append((inputs, frame))
-        cursor = parent
-    trace.reverse()
-    return trace

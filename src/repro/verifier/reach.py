@@ -11,6 +11,18 @@ walk over the cached edges — no ``restore`` / ``eval_comb`` / ``tick``
 calls after a node's first expansion.  The covering-trace search is
 the same walk with a monitor that only records fired assumptions.
 
+The walk itself runs on integers and table lookups.  The explorer
+labels each distinct cached frame with a small int and evaluates each
+predicate atom at most once per label
+(:class:`~repro.sva.monitor.FrameLabels`), numbers snapshots, and keeps
+each node's live edges as ``(input index, label, child, child snapshot
+id)``.  Each walk steps a fresh
+:class:`~repro.sva.monitor.MonitorTable`, which maps ``(monitor state
+id, label)`` to ``(next state id, verdict)`` and fills entries on first
+use with the reference :meth:`~repro.sva.monitor.PropertyMonitor.step`
+semantics.  These tables live on the explorer or for one walk; the
+pickled graph never carries them.
+
 Equivalence guarantee
 ---------------------
 
@@ -26,7 +38,7 @@ that re-simulating walk are pinned in
 memory variant); ``tests/test_reach_equivalence.py`` and
 ``tests/test_golden_verdicts.py`` replay them.
 
-Three details make the replay exact:
+Four details make the replay exact:
 
 * Nodes are keyed by ``(snapshot, first)`` because the auto-generated
   ``first`` signal makes the root cycle's frames (and hence assumption
@@ -38,6 +50,12 @@ Three details make the replay exact:
   state it is.
 * Expansion is lazy: a node's edges are simulated on first access, so
   a budget-truncated walk expands exactly the design states it touches.
+* Snapshot ids and monitor state ids are interned bijectively, so a
+  product state ``(snapshot id, state id)`` stands for exactly one
+  ``(snapshot, monitor state tuple)`` and dedup, ``states_explored``,
+  and the visit order are unchanged.  Budget-truncated property walks
+  are pinned against per-edge stepping in
+  ``tests/test_property_walk.py``.
 
 Cached frames are shared between the graph and every result that
 references them (counterexample traces included); treat them as
@@ -55,7 +73,7 @@ import time
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.rtl.design import Design, Frame
-from repro.sva.monitor import AssumptionChecker, PropertyMonitor
+from repro.sva.monitor import AssumptionChecker, FrameLabels, PropertyMonitor
 from repro.verifier.explorer import (
     BOUNDED,
     Budget,
@@ -65,7 +83,6 @@ from repro.verifier.explorer import (
     PROVEN,
     REACHABLE,
     UNKNOWN,
-    rebuild_trace,
 )
 
 #: One outgoing transition: ``None`` when the assumptions prune the
@@ -203,7 +220,10 @@ class GraphExplorer(InstrumentedExplorer):
 
     The design is simulated only on graph cache misses, so walked
     transitions are not simulated frames; the graph reports its own
-    ``sim_transitions``.
+    ``sim_transitions``.  The explorer also holds the walk's compiled
+    view of the graph — frame labels with cached atom values, snapshot
+    ids, and labelled successor lists — which lives exactly as long as
+    the explorer and is never pickled with the graph.
     """
 
     def __init__(
@@ -215,76 +235,135 @@ class GraphExplorer(InstrumentedExplorer):
         self.graph = graph if graph is not None else ReachGraph(design, assumptions)
         self.assumptions = self.graph.assumptions
         self.input_space = self.graph.input_space
+        self.labels = FrameLabels()
+        self._snap_ids: Dict[Hashable, int] = {}
+        self._labelled: Dict[int, List[Tuple[int, int, int, int]]] = {}
 
     # ------------------------------------------------------------------
+
+    def _labelled_successors(self, node: int) -> List[Tuple[int, int, int, int]]:
+        """The live transitions of ``node`` as ``(input_index, label,
+        child, child_snap_id)``, built once per explorer.  Each call
+        counts as one graph lookup, so ``cache_hits`` keeps meaning
+        what it did when walks read the graph directly."""
+        edges = self._labelled.get(node)
+        if edges is not None:
+            self.graph.cache_hits += 1
+            return edges
+        label = self.labels.label
+        edges = self._labelled[node] = [
+            (index, label(frame), child, self._snap_id(child))
+            for index, _inputs, frame, child in self.graph.live_successors(node)
+        ]
+        return edges
+
+    def _snap_id(self, node: int) -> int:
+        """The explorer-local id of ``node``'s snapshot (interned)."""
+        snap = self.graph.snap(node)
+        snap_id = self._snap_ids.get(snap)
+        if snap_id is None:
+            snap_id = self._snap_ids[snap] = len(self._snap_ids)
+        return snap_id
 
     def _check_property(
         self, monitor: PropertyMonitor, budget: Budget
     ) -> ExplorationResult:
-        """The breadth-first product walk over the cached graph (any
-        ``monitor`` with ``initial`` / ``step`` / ``verdict``)."""
+        """The breadth-first product walk over the cached graph, stepping
+        a fresh :meth:`transition_table` of ``monitor`` (a
+        :class:`~repro.sva.monitor.PropertyMonitor` or the cover walk's
+        stand-in).  Product states are ``(snapshot id, monitor state
+        id)`` pairs — both bijections with the snapshots and monitor
+        state tuples they stand for."""
         graph = self.graph
-        root_key = (graph.snap(graph.root), monitor.initial())
+        table = monitor.transition_table(self.labels)
+        rows = table.rows
+        root_key = (self._snap_id(graph.root), 0)
         visited = {root_key}
-        frontier: List[Tuple[int, Tuple]] = [(graph.root, monitor.initial())]
-        parents: Dict[Tuple, Tuple] = {root_key: None}
+        frontier: List[Tuple[int, int, Tuple[int, int]]] = [
+            (graph.root, 0, root_key)
+        ]
+        parents: Dict[Tuple[int, int], Optional[Tuple]] = {root_key: None}
         result = ExplorationResult(verdict=UNKNOWN)
-        depth = 0
+        num_inputs = len(self.input_space)
+        depth = hits = 0
 
-        while frontier:
-            if depth >= budget.max_depth:
-                result.verdict = BOUNDED
-                result.depth_completed = depth
-                result.states_explored = len(visited)
-                return result
-            next_frontier: List[Tuple[int, Tuple]] = []
-            layer_start = result.transitions
-            for node, mon_state in frontier:
-                node_key = (graph.snap(node), mon_state)
-                # Iterate only the live edges; the input index recovers
-                # the logical transition count, which includes the
-                # pruned edges in between.
-                base = result.transitions
-                for index, inputs, frame, child_node in graph.live_successors(node):
-                    result.transitions = base + index + 1
-                    new_mon = monitor.step(mon_state, frame)
-                    verdict = monitor.verdict(new_mon)
-                    if verdict is False:
-                        trace = rebuild_trace(parents, node_key)
-                        trace.append((dict(inputs), frame))
-                        result.verdict = FAILED
-                        result.depth_completed = depth + 1
-                        result.states_explored = len(visited)
-                        result.counterexample = trace
-                        result.layer_transitions.append(
-                            result.transitions - layer_start
-                        )
-                        return result
-                    if verdict is True:
-                        continue  # every extension satisfies the property
-                    child_key = (graph.snap(child_node), new_mon)
-                    if child_key not in visited:
-                        if len(visited) >= budget.max_states:
-                            result.verdict = BOUNDED
-                            result.depth_completed = depth
+        try:
+            while frontier:
+                if depth >= budget.max_depth:
+                    result.verdict = BOUNDED
+                    result.depth_completed = depth
+                    result.states_explored = len(visited)
+                    return result
+                next_frontier: List[Tuple[int, int, Tuple[int, int]]] = []
+                layer_start = result.transitions
+                for node, state, node_key in frontier:
+                    row = rows[state]
+                    # Iterate only the live edges; the input index
+                    # recovers the logical transition count, which
+                    # includes the pruned edges in between.
+                    base = result.transitions
+                    edges = self._labelled_successors(node)
+                    for index, label, child, child_snap in edges:
+                        entry = row.get(label)
+                        if entry is None:
+                            entry = table.miss(state, label)
+                        else:
+                            hits += 1
+                        new_state, verdict = entry
+                        if verdict is True:
+                            continue  # every extension satisfies it
+                        if verdict is False:
+                            result.transitions = base + index + 1
+                            result.verdict = FAILED
+                            result.depth_completed = depth + 1
                             result.states_explored = len(visited)
+                            result.counterexample = self._trace(
+                                parents, node_key, index, label
+                            )
                             result.layer_transitions.append(
                                 result.transitions - layer_start
                             )
                             return result
-                        visited.add(child_key)
-                        parents[child_key] = (node_key, dict(inputs), frame)
-                        next_frontier.append((child_node, new_mon))
-                result.transitions = base + len(self.input_space)
-            result.layer_transitions.append(result.transitions - layer_start)
-            frontier = next_frontier
-            depth += 1
+                        child_key = (child_snap, new_state)
+                        if child_key not in visited:
+                            if len(visited) >= budget.max_states:
+                                result.transitions = base + index + 1
+                                result.verdict = BOUNDED
+                                result.depth_completed = depth
+                                result.states_explored = len(visited)
+                                result.layer_transitions.append(
+                                    result.transitions - layer_start
+                                )
+                                return result
+                            visited.add(child_key)
+                            parents[child_key] = (node_key, index, label)
+                            next_frontier.append((child, new_state, child_key))
+                    result.transitions = base + num_inputs
+                result.layer_transitions.append(result.transitions - layer_start)
+                frontier = next_frontier
+                depth += 1
+        finally:
+            monitor.verdict_memo_hits += hits
 
         result.verdict = PROVEN
         result.exhausted = True
         result.depth_completed = depth
         result.states_explored = len(visited)
         return result
+
+    def _trace(
+        self, parents: Dict, key: Tuple[int, int], index: int, label: int
+    ) -> List[Tuple[Dict[str, int], Frame]]:
+        """The ``(inputs, frame)`` steps from the walk's root to ``key``
+        (following ``parents``: ``child -> (parent, input_index,
+        label)``), then the transition ``(index, label)`` out of it."""
+        steps = [(index, label)]
+        while parents[key] is not None:
+            key, index, label = parents[key]
+            steps.append((index, label))
+        steps.reverse()
+        frames = self.labels.frames
+        return [(dict(self.input_space[i]), frames[f]) for i, f in steps]
 
     def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
         """Covering-trace search (paper §4.1): the property walk with a
@@ -298,24 +377,32 @@ class GraphExplorer(InstrumentedExplorer):
 
 class _CoverMonitor:
     """The covering walk's stand-in for a
-    :class:`~repro.sva.monitor.PropertyMonitor`: ``step`` records which
-    assumptions' antecedents fire on assumption-satisfying frames and
-    keeps one constant state, and ``verdict`` never decides, so the
-    walk visits exactly the reachable design states."""
+    :class:`~repro.sva.monitor.PropertyMonitor`, acting as its own
+    transition table: one state whose every transition records which
+    assumptions' antecedents fire on the (assumption-satisfying) frame
+    and never decides, so the walk visits exactly the reachable design
+    states.  Filling each label's entry once records the same fired set
+    as checking every walked edge, since the union over a label's
+    repeats is the label's own firings."""
 
     def __init__(self, checks):
         self.checks = checks
         self.fired: Set[str] = set()
+        #: Table hits, counted by the walk like a monitor's; unreported.
+        self.verdict_memo_hits = 0
 
-    def initial(self) -> None:
-        return None
+    def transition_table(self, labels: FrameLabels) -> "_CoverMonitor":
+        self.labels = labels
+        self.antecedents = [
+            (name, labels.atom(antecedent)) for name, antecedent, _ in self.checks
+        ]
+        self.rows: List[Dict[int, Tuple[int, None]]] = [{}]
+        return self
 
-    def step(self, state: None, frame: Frame) -> None:
+    def miss(self, state_id: int, label: int) -> Tuple[int, None]:
         fired = self.fired
-        for name, antecedent, _consequent in self.checks:
-            if name not in fired and antecedent.evaluate(frame):
+        for name, atom in self.antecedents:
+            if name not in fired and self.labels.value(label, atom):
                 fired.add(name)
-        return None
-
-    def verdict(self, state: None) -> None:
-        return None
+        entry = self.rows[state_id][label] = (0, None)
+        return entry

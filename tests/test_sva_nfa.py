@@ -90,14 +90,6 @@ class TestBasicMatching:
         nfa2 = compile_sequence(SBool(Sig("a")))
         assert not nfa2.starts_accepting()
 
-    def test_can_loop_forever(self):
-        nfa = compile_sequence(scat(SRepeat(Sig("a"), 0, None), SBool(Sig("b"))))
-        states = nfa.initial()
-        # With 'a' held forever, acceptance is never reached.
-        assert not nfa.can_loop_forever(states, {"a": 1})
-        # With 'b' available, one more step accepts.
-        assert nfa.can_loop_forever(states, {"b": 1})
-
 
 class TestPaperSection33:
     """Figure 6's trace: the events occur in the order dst (St x @WB)

@@ -2,7 +2,8 @@
 """CI benchmark-regression gate.
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-random-schedule simulation, and difftest oracle throughput — and writes
+property walks, random-schedule simulation, and difftest oracle
+throughput — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -32,6 +33,7 @@ demonstrate that the gate actually fails, never in a committed config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +61,7 @@ KERNEL_SIMULATION_TESTS = ("mp", "sb", "iwp24", "iriw")
 KERNEL_SIMULATION_SCHEDULES = 6000
 DIFFTEST_TESTS = ("mp", "sb", "iwp24", "iriw", "amd3")
 COVERAGE_TESTS = ("mp", "sb", "iwp24")
+PROPERTY_WALK_TESTS = ("mp", "sb", "iwp24")
 POLYCHECK_TESTS = ("mp", "sb", "iriw")
 POLYCHECK_SAMPLES = 8
 POLYCHECK_LONG_THREAD_OPS = 16
@@ -231,6 +234,44 @@ def _bench_coverage() -> None:
         rtlcheck.verify_test(get_test(name), "fixed")
 
 
+@functools.lru_cache(maxsize=None)
+def _property_walk_inputs():
+    """Per test: a fully built reach graph and the compiled monitors of
+    every generated assertion (built once, by the warm-up run)."""
+    from repro import RTLCheck, get_test
+    from repro.sva import AssumptionChecker, PropertyMonitor
+    from repro.verifier.config import EXPLORER_BUDGET
+    from repro.verifier.reach import GraphExplorer
+    from repro.vscale.soc import MultiVScale
+
+    inputs = []
+    for name in PROPERTY_WALK_TESTS:
+        generated = RTLCheck().generate(get_test(name))
+        explorer = GraphExplorer(
+            MultiVScale(generated.compiled, "fixed"),
+            AssumptionChecker(generated.assumptions),
+        )
+        explorer.cover_assumptions(EXPLORER_BUDGET)  # expands the graph
+        monitors = [PropertyMonitor(d) for d in generated.assertions]
+        inputs.append((explorer.graph, monitors))
+    return inputs
+
+
+def _bench_property_walk() -> None:
+    """Every assertion walk of the pinned tests (fixed memory) over
+    prebuilt graphs: the property-walk layer alone, which dominates a
+    cold suite.  Each run starts a fresh explorer, so frame labels,
+    atom values, and transition tables are rebuilt as a verify run
+    builds them; graph build and monitor compilation stay outside."""
+    from repro.verifier.config import EXPLORER_BUDGET
+    from repro.verifier.reach import GraphExplorer
+
+    for graph, monitors in _property_walk_inputs():
+        explorer = GraphExplorer(graph.design, graph.assumptions, graph=graph)
+        for monitor in monitors:
+            explorer.check_property(monitor, EXPLORER_BUDGET)
+
+
 METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
     "simulation": _bench_simulation,
@@ -239,6 +280,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "difftest": _bench_difftest,
     "polycheck": _bench_polycheck,
     "coverage_overhead": _bench_coverage,
+    "property_walk": _bench_property_walk,
 }
 
 
