@@ -23,7 +23,6 @@ generated test (see the test suite).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -338,17 +337,68 @@ def enumerate_cycles(
     ``require`` lists edges at least one of which must appear; ``forbid``
     lists edges that must not.  Results are sorted deterministically, so
     suite construction is reproducible.
+
+    The answer is defined as the set of ``cycle_signature(c)`` over every
+    valid string ``c`` in ``alphabet ** length`` that passes the filters,
+    but it is found by a depth-first search over type-chained strings
+    instead: forbidden edges leave the alphabet up front, a prefix only
+    grows by edges whose ``src`` is the previous edge's ``dst``, and a
+    full string is a candidate only if it closes (last ``dst`` equals
+    first ``src``), its wrap edge is external, and it is its own
+    signature.  Only those candidates meet ``require`` and
+    :func:`validate_cycle`.  The chaining, closing and wrap tests only
+    drop strings :func:`validate_cycle` rejects, so the search finds
+    exactly the valid canonical strings.
+
+    The valid canonical strings are the defining set because validity
+    is invariant under the rotations :func:`cycle_signature` chooses
+    among, the ones that keep an external wrap edge.  Type chaining,
+    the external-edge count, the location classes and the
+    load-constraint and ws/rf-fr coherence rules all look only at
+    cyclic neighbours, so a rotation only shifts their indices.  The
+    remaining rule, program-order coherence between same-processor
+    stores, depends on the order of events within one processor; with
+    an external wrap edge every processor's events are one contiguous
+    run of internal edges, and such a rotation permutes whole runs,
+    keeping each run's order.  The filters read only the multiset of
+    edges.  Hence a valid string's signature is valid, passes the
+    filters and is its own signature, and each such string is its own
+    witness in the product.
     """
     for name in tuple(alphabet) + tuple(require) + tuple(forbid):
         if name not in CYCLE_EDGES:
             raise LitmusError(f"unknown cycle edge {name!r}")
-    found = set()
-    for combo in itertools.product(alphabet, repeat=length):
-        if require and not any(r in combo for r in require):
-            continue
-        if any(f in combo for f in forbid):
-            continue
-        if validate_cycle(combo) is not None:
-            continue
-        found.add(cycle_signature(combo))
+    if length < 2:
+        return []
+    edges = [
+        CYCLE_EDGES[name] for name in dict.fromkeys(alphabet) if name not in forbid
+    ]
+    following = {
+        kind: [spec for spec in edges if spec.src == kind] for kind in ("W", "R")
+    }
+    found: List[Tuple[str, ...]] = []
+    prefix: List[EdgeSpec] = []
+
+    def extend() -> None:
+        last = prefix[-1]
+        if len(prefix) < length:
+            for spec in following[last.dst]:
+                prefix.append(spec)
+                extend()
+                prefix.pop()
+            return
+        if last.dst != prefix[0].src or not last.external:
+            return
+        cycle = tuple(spec.name for spec in prefix)
+        if cycle_signature(cycle) != cycle:
+            return
+        if require and not any(r in cycle for r in require):
+            return
+        if validate_cycle(cycle) is None:
+            found.append(cycle)
+
+    for first in edges:
+        prefix.append(first)
+        extend()
+        prefix.pop()
     return sorted(found)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LitmusError
-from repro.litmus.diy import enumerate_cycles, generate_from_cycle
+from repro.litmus.diy import CYCLE_EDGES, enumerate_cycles, generate_from_cycle
 from repro.litmus.test import LitmusTest, Outcome, load, store
 
 #: Edges considered safe (never relaxed) under TSO: everything except
@@ -155,7 +155,7 @@ def _family_cycles(
         if len(pool) > max_index:
             break
         for cycle in enumerate_cycles(alphabet, length, require=require, forbid=forbid):
-            externals = sum(1 for edge in cycle if edge.endswith("e"))
+            externals = sum(1 for edge in cycle if CYCLE_EDGES[edge].external)
             if externals <= MAX_CORES:
                 pool.append(cycle)
     return pool

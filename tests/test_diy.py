@@ -1,8 +1,8 @@
 """Tests for the diy-style cycle-based litmus generator."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import LitmusError
 from repro.litmus.diy import (
@@ -12,6 +12,7 @@ from repro.litmus.diy import (
     generate_from_cycle,
     validate_cycle,
 )
+from repro.litmus.suite import FULL_ALPHABET, SAFE_ALPHABET
 from repro.memodel import sc_forbidden
 
 
@@ -145,11 +146,97 @@ class TestSignature:
         assert cycle_signature(cycle) == cycle_signature(rotated)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(enumerate_cycles(tuple(CYCLE_EDGES), 4)))
-def test_every_valid_4cycle_generates_an_sc_forbidden_test(cycle):
+def brute_force_cycles(alphabet, length, require=(), forbid=()):
+    """Reference for :func:`enumerate_cycles`: the defining filter over
+    every string in ``alphabet ** length``, canonicalized."""
+    for name in tuple(alphabet) + tuple(require) + tuple(forbid):
+        if name not in CYCLE_EDGES:
+            raise LitmusError(f"unknown cycle edge {name!r}")
+    found = set()
+    for combo in itertools.product(alphabet, repeat=length):
+        if require and not any(r in combo for r in require):
+            continue
+        if any(f in combo for f in forbid):
+            continue
+        if validate_cycle(combo) is not None:
+            continue
+        found.add(cycle_signature(combo))
+    return sorted(found)
+
+
+ALPHABETS = {
+    "full": FULL_ALPHABET,
+    "safe": SAFE_ALPHABET,
+    "edges": tuple(CYCLE_EDGES),
+}
+#: ``(require, forbid)`` pairs.
+FILTERS = {
+    "any": ((), ()),
+    "podwr-no-rfi": (("PodWR",), ("Rfi",)),
+    "rfi": (("Rfi",), ()),
+    "podwr": (("PodWR",), ()),
+    "no-rfe": ((), ("Rfe",)),
+}
+#: The diy families of :mod:`repro.litmus.suite` (podwr, rfi, safe),
+#: at the longest length any of them draws from.
+SUITE_FAMILIES = {
+    "podwr": (FULL_ALPHABET, ("PodWR",), ("Rfi",)),
+    "rfi": (FULL_ALPHABET, ("Rfi",), ()),
+    "safe": (SAFE_ALPHABET, (), ()),
+}
+
+
+class TestEnumerationMatchesBruteForce:
+    @pytest.mark.parametrize("length", range(6))
+    @pytest.mark.parametrize("filters", sorted(FILTERS))
+    @pytest.mark.parametrize("alphabet", sorted(ALPHABETS))
+    def test_grid(self, alphabet, filters, length):
+        require, forbid = FILTERS[filters]
+        args = (ALPHABETS[alphabet], length, require, forbid)
+        assert enumerate_cycles(*args) == brute_force_cycles(*args)
+
+    @pytest.mark.parametrize("family", sorted(SUITE_FAMILIES))
+    def test_suite_family_at_length_6(self, family):
+        alphabet, require, forbid = SUITE_FAMILIES[family]
+        args = (alphabet, 6, require, forbid)
+        cycles = enumerate_cycles(*args)
+        assert cycles == brute_force_cycles(*args)
+        assert cycles
+
+    def test_short_lengths_are_empty(self):
+        assert enumerate_cycles(FULL_ALPHABET, 0) == []
+        assert enumerate_cycles(FULL_ALPHABET, 1) == []
+
+    def test_require_outside_alphabet(self):
+        args = (SAFE_ALPHABET, 4, ("Rfi",))
+        assert enumerate_cycles(*args) == brute_force_cycles(*args) == []
+
+    def test_every_edge_forbidden(self):
+        args = (FULL_ALPHABET, 4, (), FULL_ALPHABET)
+        assert enumerate_cycles(*args) == brute_force_cycles(*args) == []
+
+    def test_repeated_alphabet_entries(self):
+        args = (FULL_ALPHABET * 2, 4)
+        assert enumerate_cycles(*args) == brute_force_cycles(*args)
+
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    @pytest.mark.parametrize("where", ["alphabet", "require", "forbid"])
+    def test_unknown_names_raise(self, where, length):
+        kwargs = {"alphabet": ("PodWR", "Fre"), "require": (), "forbid": ()}
+        kwargs[where] += ("Bogus",)
+        with pytest.raises(LitmusError, match="Bogus"):
+            enumerate_cycles(length=length, **kwargs)
+
+
+def test_every_valid_cycle_up_to_6_edges_is_sc_forbidden():
     """A critical cycle's witness outcome must be forbidden under SC —
     the core guarantee of the diy construction, checked against the
-    independent operational oracle."""
-    test = generate_from_cycle("prop", cycle)
-    assert sc_forbidden(test)
+    independent operational oracle for every valid cycle of 4, 5 and 6
+    edges over the whole alphabet."""
+    counts = {}
+    for length in (4, 5, 6):
+        cycles = enumerate_cycles(tuple(CYCLE_EDGES), length)
+        counts[length] = len(cycles)
+        for cycle in cycles:
+            assert sc_forbidden(generate_from_cycle("prop", cycle)), cycle
+    assert counts == {4: 9, 5: 82, 6: 593}

@@ -1,7 +1,11 @@
 """Tests for the 56-test paper suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.cache.keys import litmus_digest
 from repro.errors import LitmusError
 from repro.litmus import (
     PAPER_TEST_NAMES,
@@ -16,6 +20,26 @@ from repro.memodel import sc_allowed
 @pytest.fixture(scope="module")
 def suite():
     return paper_suite()
+
+
+#: Every suite test's litmus digest and diy cycle, written by
+#: ``tools/regen_golden_verdicts.py --suite-only``.
+SUITE_PIN = Path(__file__).parent / "fixtures" / "paper_suite.json"
+
+
+def test_suite_matches_pin(suite):
+    """Suite construction must reproduce the pinned tests exactly.  The
+    cache's verdict keys hash the litmus digest, so a match also means
+    every test keeps its verdict key."""
+    document = json.loads(SUITE_PIN.read_text())
+    assert document["kind"] == "rtlcheck-paper-suite"
+    assert document["schema_version"] == 1
+    rows = document["tests"]
+    assert [row["test"] for row in rows] == [test.name for test in suite]
+    for test, row in zip(suite, rows):
+        assert litmus_digest(test) == row["litmus_digest"], test.name
+        cycle = diy_cycle_of(test.name)
+        assert row["diy_cycle"] == (cycle and list(cycle)), test.name
 
 
 class TestSuiteShape:

@@ -2,8 +2,8 @@
 """CI benchmark-regression gate.
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-property walks, random-schedule simulation, and difftest oracle
-throughput — and writes
+property walks, random-schedule simulation, difftest oracle
+throughput, and paper-suite construction — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -272,6 +272,15 @@ def _bench_property_walk() -> None:
             explorer.check_property(monitor, EXPLORER_BUDGET)
 
 
+def _bench_suite_build() -> None:
+    """Construction of the 56-test paper suite (diy cycle enumeration
+    plus test generation) on a fresh builder, so the module-level memo
+    behind ``paper_suite()`` cannot hide the cost."""
+    from repro.litmus.suite import SuiteBuilder
+
+    SuiteBuilder().build()
+
+
 METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
     "simulation": _bench_simulation,
@@ -281,6 +290,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "polycheck": _bench_polycheck,
     "coverage_overhead": _bench_coverage,
     "property_walk": _bench_property_walk,
+    "suite_build": _bench_suite_build,
 }
 
 

@@ -24,6 +24,13 @@ intentional:
 
 The full regeneration verifies every test twice with RTLCheck and
 enumerates both memory variants — expect tens of minutes on one core.
+
+``--suite-only`` runs no verifier: it rewrites the suite pin
+(``tests/fixtures/paper_suite.json``), which maps every suite test to
+its litmus digest (the input every cache key hashes) and the diy cycle
+it was generated from, in about a second:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --suite-only
 """
 
 from __future__ import annotations
@@ -39,15 +46,14 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-FIXTURE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "..",
-    "tests",
-    "fixtures",
-    "golden_verdicts.json",
+FIXTURE_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures"
 )
+FIXTURE = os.path.join(FIXTURE_DIR, "golden_verdicts.json")
+SUITE_FIXTURE = os.path.join(FIXTURE_DIR, "paper_suite.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
+SUITE_KIND = "rtlcheck-paper-suite"
 
 
 def strip_seconds(obj):
@@ -115,16 +121,57 @@ def compute_row(name: str) -> dict:
     return row
 
 
+def suite_rows() -> list:
+    """One row per suite test, in suite order: its litmus digest and
+    its diy cycle (``None`` for hand-written tests)."""
+    from repro import paper_suite
+    from repro.cache.keys import litmus_digest
+    from repro.litmus import diy_cycle_of
+
+    rows = []
+    for test in paper_suite():
+        cycle = diy_cycle_of(test.name)
+        rows.append(
+            {
+                "test": test.name,
+                "litmus_digest": litmus_digest(test),
+                "diy_cycle": None if cycle is None else list(cycle),
+            }
+        )
+    return rows
+
+
+def write_document(document: dict, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, metavar="N"
     )
-    parser.add_argument("-o", "--output", default=FIXTURE, metavar="FILE")
+    parser.add_argument(
+        "--suite-only",
+        action="store_true",
+        help="write only the suite pin (no verifier runs)",
+    )
+    parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.suite_only:
+        output = args.output or SUITE_FIXTURE
+        rows = suite_rows()
+        write_document(
+            {"schema_version": 1, "kind": SUITE_KIND, "tests": rows}, output
+        )
+        print(f"wrote {len(rows)} suite rows to {output}")
+        return 0
 
     from repro import paper_suite
 
+    output = args.output or FIXTURE
     names = [test.name for test in paper_suite()]
     rows = {}
     if args.jobs > 1:
@@ -144,10 +191,8 @@ def main(argv=None) -> int:
         "kind": GOLDEN_KIND,
         "tests": [rows[name] for name in names],
     }
-    with open(args.output, "w") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
-    print(f"wrote {len(names)} golden rows to {args.output}")
+    write_document(document, output)
+    print(f"wrote {len(names)} golden rows to {output}")
     return 0
 
 
