@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-backend",
         choices=list(STATE_BACKENDS),
         default="array",
-        help="design snapshot representation the RTL-touching oracles "
-        "use (backends are verdict-equivalent; reports are "
+        help="design snapshot representation for the rtl and verifier "
+        "oracles only; the trace oracle always harvests on the "
+        "compiled step (backends are verdict-equivalent; reports are "
         "byte-identical across them)",
     )
     _add_cache_flags(fuzz)

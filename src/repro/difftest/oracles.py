@@ -258,7 +258,6 @@ def trace_verdicts(
     seed: int = 0,
     max_states: int = DEFAULT_MAX_STATES,
     grant_sink: Optional[Dict[str, int]] = None,
-    state_backend: str = "array",
 ) -> Tuple[List[TraceCheck], int, int]:
     """Sample ``samples`` RTL executions and polycheck each under SC.
 
@@ -281,7 +280,6 @@ def trace_verdicts(
             samples=samples,
             seed=seed,
             collect_grants=grant_sink is not None,
-            state_backend=state_backend,
         )
         if grant_sink is not None and harvest.grant_ngrams:
             for ngram, hits in harvest.grant_ngrams.items():
@@ -354,6 +352,10 @@ def evaluate_oracles(
     :class:`RTLCheck` wired to the same cache.  Warm hits replay the
     same observability counters the cold computation records, so a
     cached fuzz campaign's report aggregates match an uncached one's.
+
+    ``state_backend`` selects the design backend of the rtl and
+    verifier layers; the trace layer always harvests on the compiled
+    frame-free step (:func:`repro.vscale.trace.harvest_traces`).
     """
     check_wellformed(test)
     for oracle in oracles:
@@ -541,7 +543,6 @@ def evaluate_oracles(
                         seed=trace_seed,
                         max_states=max_states,
                         grant_sink=grant_sink,
-                        state_backend=state_backend,
                     )
                     if key is not None:
                         entry = {

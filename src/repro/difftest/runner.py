@@ -82,8 +82,9 @@ class FuzzConfig:
     #: directory's ``coverage/coverage.json`` when a cache is attached;
     #: without either, the campaign map is not persisted.
     coverage_db: Optional[str] = None
-    #: Design snapshot representation the RTL-touching oracles use
-    #: (``"array"`` or ``"kernel"``).  Backends are
+    #: Design snapshot representation the rtl and verifier oracles use
+    #: (``"array"`` or ``"kernel"``); the trace oracle always harvests
+    #: on the compiled frame-free step.  Backends are
     #: verdict-equivalent by contract, so reports are byte-identical
     #: across them; the knob exists for performance and for the
     #: kernel-equivalence regression suite.

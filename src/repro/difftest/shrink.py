@@ -45,8 +45,10 @@ def discrepancy_predicate(
 
     ``trace_samples``/``trace_seed`` parameterize the trace-oracle
     kinds so the shrinker replays exactly the campaign's sampling;
-    ``state_backend`` keeps the replays on the campaign's design
-    backend (verdict-equivalent, so minimizations are too).
+    ``state_backend`` keeps the rtl and verifier replays on the
+    campaign's design backend (verdict-equivalent, so minimizations are
+    too); trace replays harvest as the campaign did, on the compiled
+    step.
     """
     from repro.difftest.oracles import (
         DEFAULT_TRACE_SAMPLES,
@@ -101,7 +103,6 @@ def discrepancy_predicate(
             samples=trace_samples,
             seed=trace_seed,
             max_states=max_states,
-            state_backend=state_backend,
         )
         return any(not c.conformant for c in checks)
 
@@ -113,7 +114,6 @@ def discrepancy_predicate(
             samples=trace_samples,
             seed=trace_seed,
             max_states=max_states,
-            state_backend=state_backend,
         )
         return any(c.conformant != (c.outcome in op_set) for c in checks)
 

@@ -17,9 +17,11 @@ VCD rendering) observe byte-identical values.
 
 A kernel optionally also provides a *matrix* path: with numpy
 available, an entire frontier steps as one 2-D ``(n_states, n_slots)``
-int64 slot matrix per call.  Frame-free consumers (outcome
-enumeration, trace harvesting) use it when the frontier is at least
-:data:`MATRIX_MIN_ROWS` rows; below that the scalar kernel wins.
+int64 slot matrix per call.  The architectural-outcome enumeration
+uses it when the frontier is at least :data:`MATRIX_MIN_ROWS` rows;
+below that the scalar kernel wins.  (The trace harvest steps far
+narrower wavefronts and uses only the frame-free scalar step, see
+:func:`repro.vscale.kernel.build_state_step`.)
 
 Determinism contract: a kernel is a pure function of the slot vector.
 It must reproduce the interpreter bit for bit — same frames, same
@@ -113,11 +115,3 @@ class StepKernel:
             "designs drop their kernel on serialization and recompile "
             "on first use"
         )
-
-
-def compile_source(source: str, namespace: dict, entry: str):
-    """Exec generated kernel source in ``namespace`` and return the
-    named entry point (kept separate so tests can compile fragments)."""
-    code = compile(source, f"<step-kernel:{entry}>", "exec")
-    exec(code, namespace)  # noqa: S102 - the source is generated here
-    return namespace[entry]

@@ -2,11 +2,16 @@
 
 :func:`build_multi_vscale_kernel` generates, per design instance, the
 straight-line step functions described in :mod:`repro.rtl.kernel`.
-Everything static is baked in at compile time: every slot index is a
-literal in the generated source, each core's instruction memory becomes
-a tuple constant plus a precomputed decode table (``word -> (kind, rs1,
-rd/rs2, imm)``), and the declared data words become a ``word -> slot``
-dict.  The generated scalar ``step`` mirrors
+Every slot index is a literal in the generated source.  Per-program
+data lives in the namespace the source executes in, not in the source:
+each core's instruction memory (``IMEM{i}``), its length (``NI{i}``)
+and a precomputed decode table (``DEC{i}``: ``word -> (kind, rs1,
+rd/rs2, imm)``), plus the declared data words as a ``word -> slot``
+dict.  The frame-free sources therefore depend only on the slot layout,
+and designs that share a layout but run different programs share one
+compiled code object (:data:`_CODE_CACHE`); :func:`build_state_step`
+hands the trace harvest just that frame-free pair.  The generated
+scalar ``step`` mirrors
 :meth:`MultiVScale.eval_comb` + :meth:`MultiVScale.tick` statement for
 statement — including the frame's exact key insertion order, the
 load->store writeback forwarding, the fetch-past-imem error, and the
@@ -36,11 +41,11 @@ kind  instruction
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.errors import RtlError, SvaError
 from repro.isa import Addi, Halt, Lui, Lw, Sw
-from repro.rtl.kernel import StepKernel, compile_source, numpy_or_none
+from repro.rtl.kernel import StepKernel, numpy_or_none
 from repro.vscale.core import cached_decode
 from repro.vscale.memory import BuggyMemory, MemoryBase
 
@@ -117,9 +122,10 @@ class _KernelSpec:
         self.size = design._slot_layout.size
 
     def key(self) -> Tuple:
-        """Everything the generated source depends on — the compile
-        cache key, so equal designs (same programs, same variant) share
-        one compiled kernel across instances and runs."""
+        """Everything a built kernel depends on (its sources plus the
+        per-program namespace) — the kernel cache key, so equal designs
+        (same programs, same variant) share one built kernel across
+        instances and runs."""
         return (
             self.num_cores,
             tuple(self.core_bases),
@@ -314,7 +320,7 @@ def _emit_tick(spec: _KernelSpec, w) -> None:
         w(f"        buf[{B + 2}] = 0; buf[{B + 3}] = 0; buf[{B + 4}] = 0")
         w("    else:")
         w(f"        x = (pcif{i} - {spec.base_pcs[i]}) >> 2")
-        w(f"        if 0 <= x < {len(spec.imems[i])}:")
+        w(f"        if 0 <= x < NI{i}:")
         w(f"            buf[{B + 2}] = 1; buf[{B + 3}] = IMEM{i}[x]")
         w(f"            buf[{B + 4}] = pcif{i}; buf[{B}] = pcif{i} + 4")
         w("        else:")
@@ -671,6 +677,7 @@ def _make_namespace(spec: _KernelSpec) -> dict:
     }
     for i, imem in enumerate(spec.imems):
         namespace[f"IMEM{i}"] = imem
+        namespace[f"NI{i}"] = len(imem)
         namespace[f"DEC{i}"] = {word: decode_entry(word) for word in imem}
     return namespace
 
@@ -683,21 +690,21 @@ class _Lru:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def __contains__(self, key: Tuple) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None) -> Any:
         if key not in self._entries:
             return default
         self._entries.move_to_end(key)
         return self._entries[key]
 
-    def put(self, key: Tuple, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -707,6 +714,24 @@ class _Lru:
 #: Entries each compile cache keeps: above the paper suite's 112
 #: (test, memory variant) specs, so a whole suite stays cache-hot.
 KERNEL_CACHE_SIZE = 128
+
+#: Generated source -> code object.  Sources depend on the slot layout
+#: only (per-program data is in the namespace), so designs running
+#: different programs on one layout compile once and just exec the
+#: shared code into their own namespace.
+_CODE_CACHE = _Lru(KERNEL_CACHE_SIZE)
+
+
+def _exec_source(source: str, namespace: dict, entry: str):
+    """Exec generated kernel ``source`` in ``namespace`` and return the
+    named entry point, compiling only on a :data:`_CODE_CACHE` miss."""
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        code = compile(source, f"<step-kernel:{entry}>", "exec")
+        _CODE_CACHE.put(source, code)
+    exec(code, namespace)  # noqa: S102 - the source is generated here
+    return namespace[entry]
+
 
 #: spec.key() -> StepKernel.  Kernels are pure functions of the spec,
 #: so equal designs (every benchmark repeat, every fuzz worker on the
@@ -732,9 +757,9 @@ def build_multi_vscale_kernel(design) -> StepKernel:
     step_src = _generate_step_source(spec, with_frame=True)
     state_src = _generate_step_source(spec, with_frame=False)
     drained_src = _generate_drained_source(spec)
-    step = compile_source(step_src, namespace, "step")
-    step_state = compile_source(state_src, namespace, "step_state")
-    drained = compile_source(drained_src, namespace, "drained")
+    step = _exec_source(step_src, namespace, "step")
+    step_state = _exec_source(state_src, namespace, "step_state")
+    drained = _exec_source(drained_src, namespace, "drained")
 
     arb = spec.arb
     num_cores = spec.num_cores
@@ -774,8 +799,28 @@ def build_checked_step(design, checker):
         return _CHECKED_CACHE.get(cache_key)
     try:
         source = _generate_checked_source(spec, checks)
-        fused = compile_source(source, _make_namespace(spec), "step_checked")
+        fused = _exec_source(source, _make_namespace(spec), "step_checked")
     except SvaError:
         fused = None
     _CHECKED_CACHE.put(cache_key, fused)
     return fused
+
+
+def build_state_step(design):
+    """The frame-free compiled pair ``(step_state, drained)`` for
+    ``design`` (slot layout bound), for consumers that step raw slot
+    tuples and never look at signals — the trace harvest.
+
+    ``step_state(vec)`` returns the successor as a fresh list with the
+    arbiter grant slot unpatched; ``drained(vec)`` is the quiescence
+    predicate.  Unlike :func:`build_multi_vscale_kernel` this compiles
+    neither the framed ``step`` nor the numpy matrix kernel, never
+    imports numpy, and shares its code objects across every design with
+    the same slot layout."""
+    spec = _KernelSpec(design)
+    namespace = _make_namespace(spec)
+    step_state = _exec_source(
+        _generate_step_source(spec, with_frame=False), namespace, "step_state"
+    )
+    drained = _exec_source(_generate_drained_source(spec), namespace, "drained")
+    return step_state, drained

@@ -9,12 +9,18 @@ for the per-execution consistency checker.  Per test the cost is
 ``O(k · cycles)`` regardless of program length, which is what makes
 long-program fuzzing feasible.
 
-Sampling reuses the PR-5 array state backend: schedules progress in a
-*wavefront*, grouped by interned design state, so each distinct state
-pays one ``step_batch`` (one restore + eval + tick) per cycle no matter
-how many schedules currently occupy it — early on, all ``k`` schedules
-share the reset state and the whole wavefront advances for the price of
-one.  Each schedule owns a :class:`random.Random` seeded from
+Sampling runs on the design's frame-free compiled step
+(:func:`repro.vscale.kernel.build_state_step`), whatever state backend
+the rest of the campaign uses.  Schedules progress in a *wavefront* of
+raw slot tuples, grouped by state, so each distinct state pays one
+``step_state`` call per cycle no matter how many schedules currently
+occupy it — early on, all ``k`` schedules share the reset state and the
+whole wavefront advances for the price of one.  The grant is the only
+input, and it feeds only the arbiter slot, so a group builds one
+successor tuple per *distinct grant drawn* by its members; quiescence
+is the compiled predicate, evaluated once per group, and each distinct
+final state is read back into the design once.  Each schedule owns a
+:class:`random.Random` seeded from
 ``harvest:<seed>:<test name>:<schedule index>`` and draws exactly one
 grant per cycle it is active, so the harvest is deterministic in
 ``(test, seed, samples)`` and independent of grouping order.
@@ -24,10 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.litmus.test import LitmusTest, compile_test
 from repro.memodel.polycheck import Trace
+from repro.vscale.kernel import build_state_step
 from repro.vscale.soc import MultiVScale
 
 #: Schedules sampled per test by default (the trace oracle's ``k``).
@@ -67,70 +74,62 @@ def harvest_traces(
     seed: int = 0,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     collect_grants: bool = False,
-    state_backend: str = "array",
 ) -> Harvest:
     """Sample ``samples`` randomized executions of ``test`` on the RTL.
 
     ``collect_grants=True`` additionally records each schedule's grant
     sequence and folds them into coverage n-grams
     (``Harvest.grant_ngrams``); the grants drawn are identical either
-    way, so collection cannot perturb the sampled outcomes.
-
-    ``state_backend`` selects the design's state representation; the
-    rng draw sequence is per-schedule and grouping-independent, so the
-    harvest stays deterministic in ``(test, seed, samples)`` on every
-    backend."""
-    compiled = compile_test(test)
-    design = MultiVScale(compiled, memory_variant, state_backend=state_backend)
-    design.reset()
+    way, so collection cannot perturb the sampled outcomes."""
+    design = MultiVScale(compile_test(test), memory_variant)
+    step_state, drained = build_state_step(design)
+    start = design.state_vector(design.snapshot())
     input_space = design.input_space()
-    start = design.snapshot()
+    choices = len(input_space)
+    selects = design._select_values(input_space)
+    grant_slot = design._arb_base
 
     rngs = [
         random.Random(f"harvest:{seed}:{test.name}:{i}") for i in range(samples)
     ]
-    states: List[Hashable] = [start] * samples
-    active = [True] * samples
-    finals: List[Hashable] = [None] * samples
+    states: List[Tuple[int, ...]] = [start] * samples
+    live = list(range(samples))
+    finals: List[Optional[Tuple[int, ...]]] = [None] * samples
     grants: Optional[List[List[int]]] = (
         [[] for _ in range(samples)] if collect_grants else None
     )
 
-    drained_memo: Dict[Hashable, bool] = {}
-
-    def is_drained(state: Hashable) -> bool:
-        if state not in drained_memo:
-            # ``state_drained`` reads the compiled quiescence predicate
-            # on the kernel backend (no restore); the array backend
-            # restores and asks the design.
-            drained_memo[state] = design.state_drained(state)
-        return drained_memo[state]
-
     cycles = 0
-    remaining = samples
-    while remaining:
-        for i in range(samples):
-            if active[i] and is_drained(states[i]):
-                active[i] = False
-                finals[i] = states[i]
-                remaining -= 1
-        if not remaining or cycles >= max_cycles:
-            break
-        # Wavefront step: one batched expansion per distinct live state.
-        groups: Dict[Hashable, List[int]] = {}
-        for i in range(samples):
-            if active[i]:
-                groups.setdefault(states[i], []).append(i)
+    while live:
+        # Group the live schedules by state; a drained group retires,
+        # every other group takes one compiled step and builds one
+        # successor tuple per distinct grant its members draw.
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for i in live:
+            groups.setdefault(states[i], []).append(i)
+        stepping = []
         for state, members in groups.items():
-            edges = design.step_batch(state, input_space, lambda frame, n: True)
+            if drained(state):
+                for i in members:
+                    finals[i] = state
+            else:
+                stepping.append((state, members))
+        live = [i for i in live if finals[i] is None]
+        if not live or cycles >= max_cycles:
+            break
+        for state, members in stepping:
+            buf = step_state(state)
+            successors: Dict[int, Tuple[int, ...]] = {}
             for i in members:
-                grant = rngs[i].randrange(len(input_space))
+                grant = rngs[i].randrange(choices)
                 if grants is not None:
                     grants[i].append(grant)
-                states[i] = edges[grant][1]
+                successor = successors.get(grant)
+                if successor is None:
+                    buf[grant_slot] = selects[grant]
+                    successor = successors[grant] = tuple(buf)
+                states[i] = successor
         cycles += 1
-
-    undrained = sum(1 for i in range(samples) if active[i])
 
     traces: List[Trace] = []
     seen_states: set = set()
@@ -139,7 +138,7 @@ def harvest_traces(
         if final is None or final in seen_states:
             continue
         seen_states.add(final)
-        design.restore(final)
+        design.read_slots(final)
         trace = Trace.of(
             test.threads,
             design.register_results(),
@@ -157,7 +156,7 @@ def harvest_traces(
     return Harvest(
         traces=traces,
         sampled=samples,
-        undrained=undrained,
+        undrained=len(live),
         cycles=cycles,
         grant_ngrams=ngrams,
     )

@@ -11,10 +11,15 @@ same quiescence verdicts at every cycle, for both the scalar kernel
 and the numpy matrix path.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import get_test
 from repro.difftest.generate import FuzzGenerator
 from repro.litmus import compile_test
@@ -207,3 +212,71 @@ class TestSentinelSlots:
         a_edges = array.step_batch(array.snapshot(), inputs, _keep_all)
         for (k_frame, k_child), (_a_frame, a_child) in zip(k_edges, a_edges):
             assert kernel.state_vector(k_child) == array.state_vector(a_child)
+
+
+class TestLayoutSharedCode:
+    """Per-program data lives in the kernel namespace (``IMEM``/``NI``/
+    ``DEC``), so the frame-free sources depend on the slot layout only
+    and designs on one layout share compiled code."""
+
+    @pytest.mark.parametrize("variant", ["fixed", "buggy"])
+    def test_programs_on_one_layout_share_code(self, monkeypatch, variant):
+        from repro.vscale import kernel as vscale_kernel
+
+        monkeypatch.setattr(vscale_kernel, "_CODE_CACHE", vscale_kernel._Lru(8))
+        mp = MultiVScale(compile_test(get_test("mp")), variant)
+        iriw = MultiVScale(compile_test(get_test("iriw")), variant)
+        assert [len(c.imem) for c in mp.cores] != [len(c.imem) for c in iriw.cores]
+        sources = {
+            vscale_kernel._generate_step_source(
+                vscale_kernel._KernelSpec(design), with_frame=False
+            )
+            for design in (mp, iriw)
+        }
+        assert len(sources) == 1
+        steps = [vscale_kernel.build_state_step(d) for d in (mp, iriw)]
+        # One step_state and one drained code object, shared.
+        assert len(vscale_kernel._CODE_CACHE) == 2
+        assert steps[0][0].__code__ is steps[1][0].__code__
+        assert steps[0][0] is not steps[1][0]
+
+        # Each design steps its own program: follow a fixed schedule to
+        # quiescence against the interpreter.
+        for design, (step_state, drained) in zip((mp, iriw), steps):
+            inputs = design.input_space()
+            state = design.snapshot()
+            vec = design.state_vector(state)
+            for cycle in range(200):
+                assert drained(vec) == design.state_drained(state)
+                if drained(vec):
+                    break
+                grant = cycle % len(inputs)
+                state = design.step_batch(state, inputs, _keep_all)[grant][1]
+                buf = step_state(vec)
+                buf[design._arb_base] = grant
+                vec = tuple(buf)
+                assert vec == design.state_vector(state)
+            else:
+                pytest.fail("schedule did not drain")
+
+    def test_build_state_step_leaves_numpy_unimported(self):
+        """The harvest path never imports numpy (a fresh interpreter,
+        so no other test's import can mask it)."""
+        script = (
+            "import sys\n"
+            "from repro import get_test\n"
+            "from repro.litmus import compile_test\n"
+            "from repro.vscale.kernel import build_state_step\n"
+            "from repro.vscale.soc import MultiVScale\n"
+            "from repro.vscale.trace import harvest_traces\n"
+            "assert 'numpy' not in sys.modules\n"
+            "build_state_step(MultiVScale(compile_test(get_test('mp'))))\n"
+            "harvest_traces(get_test('sb'), 'buggy')\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(repro.__path__[0])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)

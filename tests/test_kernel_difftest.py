@@ -17,6 +17,7 @@ import os
 from repro.difftest import FuzzConfig, run_fuzz, validate_fuzz_report
 from repro.vscale.trace import harvest_traces
 from repro import get_test
+from tests.test_trace_harvest import assert_same_harvest, reference_harvest
 
 FULL = os.environ.get("RTLCHECK_STATE_BACKEND_FULL") == "1"
 BUDGET = 200 if FULL else 30
@@ -66,18 +67,15 @@ class TestFuzzBackendEquivalence:
         assert kernel_text == array_text
 
     def test_trace_oracle_harvest_deterministic(self):
-        """The trace oracle's sampling inside a kernel campaign replays
-        exactly: same (test, variant, seed, samples) → same traces."""
-        for _ in range(2):
-            harvest = harvest_traces(
-                get_test("mp"),
-                "buggy",
-                samples=4,
-                seed=0,
-                state_backend="kernel",
-            )
-            if _ == 0:
-                first = harvest
-        assert first.traces == harvest.traces
-        assert first.sampled == harvest.sampled
-        assert first.cycles == harvest.cycles
+        """The trace oracle's sampling replays exactly — same (test,
+        variant, seed, samples) → same harvest — and matches the
+        reference wavefront on the kernel backend."""
+        first = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
+        second = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
+        assert_same_harvest(first, second)
+        assert_same_harvest(
+            first,
+            reference_harvest(
+                get_test("mp"), "buggy", samples=4, seed=0, state_backend="kernel"
+            ),
+        )

@@ -35,6 +35,7 @@ from repro.verifier.reach import ReachGraph
 from repro.verifier.simulation import simulate_check
 from repro.vscale.soc import MultiVScale
 from repro.vscale.trace import harvest_traces
+from tests.test_trace_harvest import assert_same_harvest, reference_harvest
 
 BACKENDS = ["kernel", "array"]
 SUBSET = ["mp", "sb", "lb", "iwp24", "n4"]
@@ -226,36 +227,34 @@ class TestSimulation:
 
 
 class TestHarvestDeterminism:
-    """The trace oracle's sampled schedules are backend-independent and
-    deterministic in ``(test, seed, samples)``."""
+    """The trace oracle's harvest takes no backend: it reproduces the
+    reference ``step_batch`` wavefront (``tests/test_trace_harvest.py``)
+    run on *either* backend, and is deterministic in
+    ``(test, seed, samples)``."""
 
     def test_harvest_identical_across_backends(self):
         for variant in VARIANTS:
-            harvests = {
-                backend: harvest_traces(
+            harvest = harvest_traces(get_test("mp"), variant, samples=6, seed=3)
+            for backend in BACKENDS:
+                reference = reference_harvest(
                     get_test("mp"),
                     variant,
                     samples=6,
                     seed=3,
                     state_backend=backend,
                 )
-                for backend in BACKENDS
-            }
-            kernel, array = (harvests[b] for b in BACKENDS)
-            assert kernel.traces == array.traces, variant
-            assert kernel.sampled == array.sampled
-            assert kernel.undrained == array.undrained
-            assert kernel.cycles == array.cycles
+                assert_same_harvest(harvest, reference)
 
     def test_harvest_deterministic_on_kernel(self):
-        first = harvest_traces(
-            get_test("sb"), "buggy", samples=5, seed=11, state_backend="kernel"
+        first = harvest_traces(get_test("sb"), "buggy", samples=5, seed=11)
+        second = harvest_traces(get_test("sb"), "buggy", samples=5, seed=11)
+        assert_same_harvest(first, second)
+        assert_same_harvest(
+            first,
+            reference_harvest(
+                get_test("sb"), "buggy", samples=5, seed=11, state_backend="kernel"
+            ),
         )
-        second = harvest_traces(
-            get_test("sb"), "buggy", samples=5, seed=11, state_backend="kernel"
-        )
-        assert first.traces == second.traces
-        assert first.cycles == second.cycles
 
 
 class TestBackendSelection:

@@ -3,7 +3,8 @@
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
 property walks, random-schedule simulation, difftest oracle
-throughput, and paper-suite construction — and writes
+throughput, paper-suite construction, and the trace oracle's
+harvest — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -65,6 +66,10 @@ PROPERTY_WALK_TESTS = ("mp", "sb", "iwp24")
 POLYCHECK_TESTS = ("mp", "sb", "iriw")
 POLYCHECK_SAMPLES = 8
 POLYCHECK_LONG_THREAD_OPS = 16
+#: ``FuzzGenerator(seed, 4, long_programs=True).suite(count)``: the
+#: start of the ``fuzz --long-programs`` campaign at seed 0.
+TRACE_HARVEST_SEED = 0
+TRACE_HARVEST_TESTS = 40
 
 
 def _calibration_workload() -> int:
@@ -281,6 +286,25 @@ def _bench_suite_build() -> None:
     SuiteBuilder().build()
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_harvest_tests():
+    from repro.difftest.generate import FuzzGenerator
+
+    generator = FuzzGenerator(TRACE_HARVEST_SEED, 4, long_programs=True)
+    return tuple(generator.suite(TRACE_HARVEST_TESTS))
+
+
+def _bench_trace_harvest() -> None:
+    """The trace oracle's harvest alone (no polycheck) on a fixed slice
+    of long fuzz programs, fixed memory, default samples: the layer
+    that dominates a ``fuzz --long-programs`` campaign.  The programs
+    are generated once, by the warm-up run."""
+    from repro.vscale.trace import harvest_traces
+
+    for test in _trace_harvest_tests():
+        harvest_traces(test, "fixed")
+
+
 METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
     "simulation": _bench_simulation,
@@ -291,6 +315,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "coverage_overhead": _bench_coverage,
     "property_walk": _bench_property_walk,
     "suite_build": _bench_suite_build,
+    "trace_harvest": _bench_trace_harvest,
 }
 
 

@@ -31,6 +31,14 @@ its litmus digest (the input every cache key hashes) and the diy cycle
 it was generated from, in about a second:
 
     PYTHONPATH=src python tools/regen_golden_verdicts.py --suite-only
+
+``--harvest-only`` runs no verifier either: it rewrites the trace
+harvest pin (``tests/fixtures/trace_harvest.json``), a digest of
+:func:`repro.vscale.trace.harvest_traces` (grants collected) for the
+first 60 long-program fuzz tests and every suite test, on both memory
+variants, in a few seconds:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --harvest-only
 """
 
 from __future__ import annotations
@@ -51,9 +59,16 @@ FIXTURE_DIR = os.path.join(
 )
 FIXTURE = os.path.join(FIXTURE_DIR, "golden_verdicts.json")
 SUITE_FIXTURE = os.path.join(FIXTURE_DIR, "paper_suite.json")
+HARVEST_FIXTURE = os.path.join(FIXTURE_DIR, "trace_harvest.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
 SUITE_KIND = "rtlcheck-paper-suite"
+HARVEST_KIND = "rtlcheck-trace-harvest"
+
+#: The harvest pin's fuzz slice: ``FuzzGenerator(seed, max_procs,
+#: long_programs).suite(count)``, the tests a ``fuzz --long-programs``
+#: campaign at seed 0 starts with.
+HARVEST_FUZZ = {"seed": 0, "max_procs": 4, "long_programs": True, "count": 60}
 
 
 def strip_seconds(obj):
@@ -141,6 +156,65 @@ def suite_rows() -> list:
     return rows
 
 
+def harvest_digest(harvest) -> str:
+    """sha256 of a :class:`~repro.vscale.trace.Harvest` as canonical
+    JSON: every trace's load values, final and initial memory in harvest
+    order, plus ``sampled``/``undrained``/``cycles``/``grant_ngrams``."""
+    view = {
+        "traces": [
+            [
+                list(map(list, trace.load_values)),
+                list(map(list, trace.final_memory)),
+                list(map(list, trace.initial_memory)),
+            ]
+            for trace in harvest.traces
+        ],
+        "sampled": harvest.sampled,
+        "undrained": harvest.undrained,
+        "cycles": harvest.cycles,
+        "grant_ngrams": harvest.grant_ngrams,
+    }
+    text = json.dumps(view, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def harvest_tests() -> list:
+    """``(source, test)`` pairs the harvest pin covers, in pin order."""
+    from repro import paper_suite
+    from repro.difftest.generate import FuzzGenerator
+
+    generator = FuzzGenerator(
+        HARVEST_FUZZ["seed"],
+        HARVEST_FUZZ["max_procs"],
+        HARVEST_FUZZ["long_programs"],
+    )
+    pairs = [("fuzz", test) for test in generator.suite(HARVEST_FUZZ["count"])]
+    pairs += [("suite", test) for test in paper_suite()]
+    return pairs
+
+
+def harvest_rows() -> list:
+    """One row per (test, memory variant): the digest of its default
+    trace-oracle harvest (seed 0, default samples, grants collected)."""
+    from repro.cache.keys import litmus_digest
+    from repro.vscale.trace import harvest_traces
+
+    rows = []
+    for source, test in harvest_tests():
+        for variant in ("fixed", "buggy"):
+            harvest = harvest_traces(test, variant, collect_grants=True)
+            rows.append(
+                {
+                    "test": test.name,
+                    "source": source,
+                    "memory": variant,
+                    "litmus_digest": litmus_digest(test),
+                    "harvest_digest": harvest_digest(harvest),
+                }
+            )
+    return rows
+
+
 def write_document(document: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
@@ -157,8 +231,28 @@ def main(argv=None) -> int:
         action="store_true",
         help="write only the suite pin (no verifier runs)",
     )
+    parser.add_argument(
+        "--harvest-only",
+        action="store_true",
+        help="write only the trace harvest pin (no verifier runs)",
+    )
     parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.harvest_only:
+        output = args.output or HARVEST_FIXTURE
+        rows = harvest_rows()
+        write_document(
+            {
+                "schema_version": 1,
+                "kind": HARVEST_KIND,
+                "fuzz": HARVEST_FUZZ,
+                "tests": rows,
+            },
+            output,
+        )
+        print(f"wrote {len(rows)} harvest rows to {output}")
+        return 0
 
     if args.suite_only:
         output = args.output or SUITE_FIXTURE
