@@ -42,7 +42,7 @@ from repro.mapping.program_mapping import MultiVScaleProgramMapping
 from repro.rtl.design import STATE_BACKENDS
 from repro.sva.ast import Directive
 from repro.sva.emit import emit_sva_file
-from repro.sva.monitor import AssumptionChecker, PropertyMonitor
+from repro.sva.monitor import AssumptionChecker, PropertyMonitor, walk_atoms
 from repro.uspec.ast import Model
 from repro.uspec.model import load_model, multi_vscale_model
 from repro.verifier.config import (
@@ -320,7 +320,16 @@ class RTLCheck:
                 graph = self.cache.load_graph(reach_key)
                 if graph is not None:
                     loaded_transitions = graph.sim_transitions
-            explorer = GraphExplorer(design, checker, graph=graph)
+            # Declare every atom the walks can read before the first
+            # one, so frames are valued once by a single compiled
+            # valuation (read from the ASTs: no monitor is built for a
+            # test the cover walk discharges).
+            explorer = GraphExplorer(
+                design,
+                checker,
+                graph=graph,
+                atoms=walk_atoms(generated.assumptions, generated.assertions),
+            )
             engine_model = EngineModel(self.config)
 
             # Phase 1: covering traces for the assumptions (§4.1).
@@ -519,6 +528,9 @@ class RTLCheck:
             return
         recorder.count("reach.sim_transitions", graph.sim_transitions)
         recorder.count("reach.cache_hits", graph.cache_hits)
+        labels = explorer.labels
+        recorder.count("valuation.frames_labelled", len(labels.frames))
+        recorder.count("valuation.classes", len(labels.values))
         recorder.count("rtl.frames_simulated", graph.sim_transitions)
         recorder.gauge("reach.graph_states", graph.num_nodes)
         recorder.gauge("reach.expanded_nodes", graph.expanded_nodes)

@@ -21,18 +21,33 @@ it in explored product states.
 :meth:`PropertyMonitor.step` and :meth:`PropertyMonitor.verdict` are the
 reference semantics (trace checks use them directly).  The graph walk
 steps a :class:`MonitorTable` instead: the same transitions compiled to
-integer state ids and frame labels (:class:`FrameLabels`), filled on
-first use and kept for one walk.
+integer state ids and frame labels — each frame's interned atom-valuation
+class (:class:`FrameLabels`) — filled on first use and kept for one
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SvaError
 from repro.rtl.design import Frame
 from repro.sva.ast import (
+    BAnd,
+    BConst,
+    BNot,
+    BOr,
     BoolExpr,
     Directive,
     PAnd,
@@ -41,6 +56,11 @@ from repro.sva.ast import (
     POr,
     PSeq,
     Property,
+    SBool,
+    SCat,
+    Sig,
+    SigEq,
+    SRepeat,
 )
 from repro.sva.nfa import Nfa, compile_sequence
 
@@ -190,52 +210,185 @@ class PropertyMonitor:
 
 
 class FrameLabels:
-    """Frame labels and cached atom values for every walk over one graph.
+    """Atom-valuation classes of the frames every walk over one graph
+    reads.
 
     An *atom* is a :class:`~repro.sva.ast.BoolExpr` read by a monitor
-    transition or an assumption antecedent, interned by structure, so
-    the same predicate in several assertions is one atom.  A frame's
-    *label* is a small int per distinct frame object.  Each atom is
-    evaluated at most once per label, on first use.  Labels key on
-    object identity, which is sound because :attr:`frames` keeps every
-    labelled frame alive; frames are read-only once labelled.
+    transition or an assumption antecedent, interned by identity first
+    and by structure second, so the same predicate in several
+    assertions is one atom.  Atom ids (bit positions) follow first-seen
+    order.  The owner declares the test's atoms up front
+    (:func:`walk_atoms`); they are compiled into one generated
+    ``frame -> int`` function whose bit ``i`` is atom ``i``'s value, so
+    labelling a frame evaluates every atom once, in straight-line code.
+
+    A frame's *label* is its interned valuation mask: frames that agree
+    on every atom share one label, numbered in first-seen order, and
+    ``values[label]`` is the mask.  A monitor step reads only atom
+    values, so frames of one label step alike — a walk may key its
+    transition tables by label.  Frames are memoized by identity, which
+    is sound because :attr:`frames` keeps every labelled frame alive;
+    frames are read-only once labelled.
+
+    An atom first seen after frames were labelled (a monitor reading a
+    predicate nobody declared) marks the labels stale: the next
+    :meth:`sync` or :meth:`label` recompiles the valuation and relabels
+    every frame, so labels handed out before are void (:meth:`sync`
+    reports it).  Correct, only slower than declaring the atom.
     """
 
-    def __init__(self):
+    def __init__(self, atoms: Iterable[BoolExpr] = ()):
         self._atom_ids: Dict[BoolExpr, int] = {}
-        #: ``atoms[atom]`` is the interned expression.
+        self._by_expr: Dict[int, Tuple[BoolExpr, int]] = {}
+        #: ``atoms[atom]`` is the interned expression (bit ``atom``).
         self.atoms: List[BoolExpr] = []
-        self._labels: Dict[int, int] = {}
-        #: ``frames[label]`` is the labelled frame.
+        #: Labelled frames, in first-seen order.
         self.frames: List[Frame] = []
-        #: ``values[label][atom]`` is the atom's value on that frame,
-        #: present once some step needed it.
-        self.values: List[Dict[int, bool]] = []
+        self._by_frame: Dict[int, int] = {}
+        self._classes: Dict[int, int] = {}
+        #: ``values[label]`` is the label's atom-valuation mask.
+        self.values: List[int] = []
+        self._valuate: Optional[Callable[[Frame], int]] = None
+        for expr in atoms:
+            self.atom(expr)
+        self.sync()
 
     def atom(self, expr: BoolExpr) -> int:
-        """The atom id of ``expr`` (interned by structure)."""
+        """The atom id of ``expr``, adding it (and marking the labels
+        stale) if no equal expression was seen before."""
+        known = self._by_expr.get(id(expr))
+        if known is not None:
+            return known[1]
         atom = self._atom_ids.get(expr)
         if atom is None:
             atom = self._atom_ids[expr] = len(self.atoms)
             self.atoms.append(expr)
+            self._valuate = None
+        # The entry holds ``expr`` so its id cannot be reused.
+        self._by_expr[id(expr)] = (expr, atom)
         return atom
 
+    def sync(self) -> bool:
+        """Bring the labels up to date with the atom set.  Returns True
+        when labels handed out before were renumbered."""
+        if self._valuate is not None:
+            return False
+        self._valuate = compile_valuation(self.atoms)
+        if not self.frames:
+            return False
+        frames = self.frames
+        self.frames = []
+        self._by_frame = {}
+        self._classes = {}
+        self.values = []
+        for frame in frames:
+            self.label(frame)
+        return True
+
     def label(self, frame: Frame) -> int:
-        """The label of ``frame`` (interned by identity)."""
-        label = self._labels.get(id(frame))
+        """The label of ``frame`` (memoized by identity)."""
+        if self._valuate is None:
+            self.sync()
+        label = self._by_frame.get(id(frame))
         if label is None:
-            label = self._labels[id(frame)] = len(self.frames)
+            mask = self._valuate(frame)
+            label = self._classes.get(mask)
+            if label is None:
+                label = self._classes[mask] = len(self.values)
+                self.values.append(mask)
+            self._by_frame[id(frame)] = label
             self.frames.append(frame)
-            self.values.append({})
         return label
 
-    def value(self, label: int, atom: int) -> bool:
-        """The atom's value on the labelled frame, evaluated once."""
-        values = self.values[label]
-        value = values.get(atom)
-        if value is None:
-            value = values[atom] = bool(self.atoms[atom].evaluate(self.frames[label]))
-        return value
+
+def walk_atoms(
+    assumptions: Sequence[Directive], assertions: Sequence[Directive]
+) -> List[BoolExpr]:
+    """Every atom a walk over these directives reads, in first-seen
+    order: the monitored assumptions' antecedents (the covering walk's
+    atoms), then each assertion's sequence predicates (its monitor's
+    NFA transitions), read from the ASTs without building monitors."""
+    atoms = [
+        d.prop.antecedent
+        for d in assumptions
+        if not d.structural and isinstance(d.prop, PImpl)
+    ]
+    for d in assertions:
+        prop = d.prop
+        _property_atoms(prop.consequent if isinstance(prop, PImpl) else prop, atoms)
+    return atoms
+
+
+def _property_atoms(prop: Property, out: List[BoolExpr]) -> None:
+    if isinstance(prop, PSeq):
+        _sequence_atoms(prop.seq, out)
+    elif isinstance(prop, (PAnd, POr)):
+        for op in prop.operands:
+            _property_atoms(op, out)
+
+
+def _sequence_atoms(seq, out: List[BoolExpr]) -> None:
+    if isinstance(seq, (SBool, SRepeat)):
+        out.append(seq.expr)
+    elif isinstance(seq, SCat):
+        _sequence_atoms(seq.left, out)
+        if seq.delay > 1:
+            out.append(BConst(True))  # the NFA's free cycles
+        _sequence_atoms(seq.right, out)
+
+
+def compile_valuation(atoms: Sequence[BoolExpr]) -> Callable[[Frame], int]:
+    """One generated function from a frame to the bitmask of ``atoms``'
+    values (bit ``i`` is ``atoms[i]``).
+
+    Every distinct subexpression (signal read, comparison, ``not``,
+    ``and``/``or``) becomes one local, computed once: atoms built from
+    shared parts — a generated assertion's ``~(a || b)`` next to ``a``
+    and ``b`` — reuse them, which keeps the source, and so its compile,
+    small.  Atoms are pure, so evaluating every local eagerly gives the
+    values :meth:`~repro.sva.ast.BoolExpr.evaluate` gives."""
+    lines = ["def valuate(frame):", "    get = frame.get"]
+    names: Dict[str, str] = {}
+
+    def local(text: str) -> str:
+        name = names.get(text)
+        if name is None:
+            name = names[text] = f"v{len(names)}"
+            lines.append(f"    {name} = {text}")
+        return name
+
+    def emit(expr: BoolExpr) -> str:
+        if isinstance(expr, BConst):
+            return repr(expr.value)
+        if isinstance(expr, Sig):
+            return local(f"get({expr.name!r}, 0)")
+        if isinstance(expr, SigEq):
+            return local(f"{local(f'get({expr.name!r}, 0)')} == {expr.value!r}")
+        if isinstance(expr, BNot):
+            return local(f"not {emit(expr.body)}")
+        if isinstance(expr, (BAnd, BOr)):
+            if not expr.operands:
+                return repr(isinstance(expr, BAnd))
+            joiner = " and " if isinstance(expr, BAnd) else " or "
+            return local(joiner.join(emit(op) for op in expr.operands))
+        raise SvaError(f"cannot compile boolean expression {expr!r}")
+
+    terms = [f"({emit(expr)} and {1 << bit})" for bit, expr in enumerate(atoms)]
+    lines.append("    mask = 0")
+    # Chunked, so no expression nests deeper than 32 operators.
+    for start in range(0, len(terms), 32):
+        lines.append("    mask |= " + " | ".join(terms[start : start + 32]))
+    lines.append("    return mask")
+    return _exec_valuation("\n".join(lines) + "\n")
+
+
+@lru_cache(maxsize=128)
+def _exec_valuation(source: str) -> Callable[[Frame], int]:
+    """Compile ``source`` once: equal atom lists (every repeat of one
+    test) share one function."""
+    namespace: dict = {}
+    exec(compile(source, "<valuation>", "exec"), namespace)  # noqa: S102
+    return namespace["valuate"]
 
 
 class MonitorTable:
@@ -251,30 +404,31 @@ class MonitorTable:
     A missing entry is filled by :meth:`miss`.  A state's step reads
     only the atoms on the transitions out of its pending leaves' live
     NFA states, so the step is a function of the state and those atoms'
-    values on the frame — the frame's *letter* for that state.  Many
-    frames share a letter, so :meth:`miss` computes the letter and
-    steps the NFAs only for a letter the state has not seen, with
-    exactly the semantics of :meth:`PropertyMonitor.step` and
-    :meth:`PropertyMonitor.verdict` over the cached atom values.
+    values — the state's *letter*, ``values[label] & reads[state]``.
+    Many labels share a letter, so :meth:`miss` steps the NFAs only for
+    a letter the state has not seen, with exactly the semantics of
+    :meth:`PropertyMonitor.step` and :meth:`PropertyMonitor.verdict`
+    over the label's atom bits.
 
     Economics go to the monitor's existing counters:
     ``verdict_memo_misses`` counts the steps computed from the NFAs and
     ``verdict_memo_hits`` every other lookup (so hits + misses is the
-    number of steps taken), and each NFA's ``memo_hits``/``memo_misses``
-    count atom values read from / first evaluated into the frame labels
-    while computing letters.
+    number of steps taken), and on each :meth:`miss` every pending
+    leaf's NFA counts one ``memo_misses`` when its step was computed
+    from its transitions, else one ``memo_hits`` (the letter memo
+    served it).
     """
 
     def __init__(self, monitor: PropertyMonitor, labels: FrameLabels):
         self.monitor = monitor
         self.labels = labels
-        #: Per leaf: the NFA, its transitions on atom ids, its accepting set.
+        #: Per leaf: the NFA, its transitions on atom bits, its accepting set.
         self._leaves = [
             (
                 nfa,
                 {
                     source: tuple(
-                        (labels.atom(expr), target) for expr, target in edges
+                        (1 << labels.atom(expr), target) for expr, target in edges
                     )
                     for source, edges in nfa.transitions.items()
                 },
@@ -286,16 +440,17 @@ class MonitorTable:
         self.states: List[Tuple] = []
         self._ids: Dict[Tuple, int] = {}
         self._verdicts: List[Optional[bool]] = []
-        #: Per state: ``(nfa, atoms)`` for each pending leaf, the atoms
-        #: its live NFA states read (the state's letter positions).
-        self._reads: List[List[Tuple[Nfa, Tuple[int, ...]]]] = []
+        #: Per state: the mask of atoms its pending leaves read, and
+        #: those leaves' NFAs.
+        self._reads: List[int] = []
+        self._pending: List[Tuple[Nfa, ...]] = []
         #: Per state: letter -> entry, and label -> entry (the fast path).
-        self._by_letter: List[Dict[Tuple[bool, ...], Tuple]] = []
+        self._by_letter: List[Dict[int, Tuple]] = []
         self.rows: List[Dict[int, Tuple[int, Optional[bool]]]] = []
         self._intern(monitor.initial())
 
     def step(self, state_id: int, label: int) -> Tuple[int, Optional[bool]]:
-        """``(next_state_id, verdict)`` after the labelled frame."""
+        """``(next_state_id, verdict)`` after a frame of ``label``."""
         entry = self.rows[state_id].get(label)
         if entry is None:
             return self.miss(state_id, label)
@@ -304,37 +459,24 @@ class MonitorTable:
 
     def miss(self, state_id: int, label: int) -> Tuple[int, Optional[bool]]:
         """Fill and return the missing ``rows[state_id][label]``."""
-        labels = self.labels
-        values = labels.values[label]
-        frame = labels.frames[label]
-        atoms = labels.atoms
-        letter: List[bool] = []
-        for nfa, reads in self._reads[state_id]:
-            misses = 0
-            for atom in reads:
-                value = values.get(atom)
-                if value is None:
-                    value = values[atom] = bool(atoms[atom].evaluate(frame))
-                    misses += 1
-                letter.append(value)
-            nfa.memo_hits += len(reads) - misses
-            nfa.memo_misses += misses
+        letter = self.labels.values[label] & self._reads[state_id]
         by_letter = self._by_letter[state_id]
-        key = tuple(letter)
-        entry = by_letter.get(key)
+        entry = by_letter.get(letter)
         if entry is None:
-            entry = by_letter[key] = self._step(state_id, values)
+            entry = by_letter[letter] = self._step(state_id, letter)
             self.monitor.verdict_memo_misses += 1
+            for nfa in self._pending[state_id]:
+                nfa.memo_misses += 1
         else:
             self.monitor.verdict_memo_hits += 1
+            for nfa in self._pending[state_id]:
+                nfa.memo_hits += 1
         self.rows[state_id][label] = entry
         return entry
 
-    def _step(
-        self, state_id: int, values: Dict[int, bool]
-    ) -> Tuple[int, Optional[bool]]:
+    def _step(self, state_id: int, letter: int) -> Tuple[int, Optional[bool]]:
         """:meth:`PropertyMonitor.step` then ``verdict``, reading atom
-        values (every atom the state reads is in ``values``)."""
+        bits of ``letter`` (it holds every atom the state reads)."""
         states, status = self.states[state_id]
         new_states: List[FrozenSet[int]] = []
         new_status: List[int] = []
@@ -348,8 +490,8 @@ class MonitorTable:
             nxt = frozenset(
                 target
                 for source in live
-                for atom, target in transitions.get(source, ())
-                if values[atom]
+                for bit, target in transitions.get(source, ())
+                if letter & bit
             )
             new_states.append(nxt)
             if not accepting.isdisjoint(nxt):
@@ -368,16 +510,16 @@ class MonitorTable:
             self.states.append(state)
             self._verdicts.append(self.monitor.verdict(state))
             states, status = state
-            reads = []
+            reads = 0
+            pending = []
             for (nfa, transitions, _), live, st in zip(self._leaves, states, status):
                 if st == _PENDING:
-                    atoms = {
-                        atom
-                        for source in live
-                        for atom, _target in transitions.get(source, ())
-                    }
-                    reads.append((nfa, tuple(sorted(atoms))))
+                    pending.append(nfa)
+                    for source in live:
+                        for bit, _target in transitions.get(source, ()):
+                            reads |= bit
             self._reads.append(reads)
+            self._pending.append(tuple(pending))
             self._by_letter.append({})
             self.rows.append({})
         return state_id
@@ -448,8 +590,6 @@ def _bool_property(prop: Property, frame: Frame) -> bool:
     if isinstance(prop, PConst):
         return prop.value
     if isinstance(prop, PSeq):
-        from repro.sva.ast import SBool
-
         if isinstance(prop.seq, SBool):
             return prop.seq.expr.evaluate(frame)
         raise SvaError("assumption consequents must be single-cycle")

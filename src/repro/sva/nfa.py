@@ -35,8 +35,9 @@ class Nfa:
     start_states: FrozenSet[int]
     accepting: FrozenSet[int]
     transitions: Dict[int, List[Tuple[BoolExpr, int]]]
-    #: Atom-value economics of the walks that step this NFA: values
-    #: read from / first evaluated into the walk's frame labels (see
+    #: Step economics of the walks that step this NFA: on each table
+    #: miss where it is pending, a step served from the state's letter
+    #: memo / computed from :attr:`transitions` (see
     #: :class:`repro.sva.monitor.MonitorTable`), flushed to
     #: ``repro.obs`` counters by the RTLCheck flow.
     memo_hits: int = 0

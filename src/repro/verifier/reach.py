@@ -12,15 +12,19 @@ calls after a node's first expansion.  The covering-trace search is
 the same walk with a monitor that only records fired assumptions.
 
 The walk itself runs on integers and table lookups.  The explorer
-labels each distinct cached frame with a small int and evaluates each
-predicate atom at most once per label
-(:class:`~repro.sva.monitor.FrameLabels`), numbers snapshots, and keeps
-each node's live edges as ``(input index, label, child, child snapshot
-id)``.  Each walk steps a fresh
+labels each cached frame with its atom-valuation class: one generated
+function, compiled from the test's declared atoms, maps a frame to the
+bitmask of every atom's value, and equal masks share one small-int
+label (:class:`~repro.sva.monitor.FrameLabels`).  It also numbers
+snapshots and keeps each node's live edges as ``(input index, label,
+child, child snapshot id)``.  Each walk steps a fresh
 :class:`~repro.sva.monitor.MonitorTable`, which maps ``(monitor state
 id, label)`` to ``(next state id, verdict)`` and fills entries on first
 use with the reference :meth:`~repro.sva.monitor.PropertyMonitor.step`
-semantics.  These tables live on the explorer or for one walk; the
+semantics.  A step reads nothing but atom values, so every frame of a
+label steps alike; counterexample frames, which must be concrete, are
+read back from the graph edges the walk's parent pointers name, never
+from a label.  These tables live on the explorer or for one walk; the
 pickled graph never carries them.
 
 Equivalence guarantee
@@ -70,9 +74,10 @@ flushed to :mod:`repro.obs` counters by the RTLCheck flow.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.rtl.design import Design, Frame
+from repro.sva.ast import BoolExpr
 from repro.sva.monitor import AssumptionChecker, FrameLabels, PropertyMonitor
 from repro.verifier.explorer import (
     BOUNDED,
@@ -221,9 +226,14 @@ class GraphExplorer(InstrumentedExplorer):
     The design is simulated only on graph cache misses, so walked
     transitions are not simulated frames; the graph reports its own
     ``sim_transitions``.  The explorer also holds the walk's compiled
-    view of the graph — frame labels with cached atom values, snapshot
-    ids, and labelled successor lists — which lives exactly as long as
-    the explorer and is never pickled with the graph.
+    view of the graph — valuation-class frame labels, snapshot ids, and
+    labelled successor lists — which lives exactly as long as the
+    explorer and is never pickled with the graph.
+
+    ``atoms`` declares the predicates the walks will read
+    (:func:`~repro.sva.monitor.walk_atoms`), so one valuation is
+    compiled before the first walk.  A monitor reading an undeclared
+    atom still gets exact answers: its walk relabels every frame first.
     """
 
     def __init__(
@@ -231,11 +241,12 @@ class GraphExplorer(InstrumentedExplorer):
         design: Design,
         assumptions: AssumptionChecker,
         graph: Optional[ReachGraph] = None,
+        atoms: Iterable[BoolExpr] = (),
     ):
         self.graph = graph if graph is not None else ReachGraph(design, assumptions)
         self.assumptions = self.graph.assumptions
         self.input_space = self.graph.input_space
-        self.labels = FrameLabels()
+        self.labels = FrameLabels(atoms)
         self._snap_ids: Dict[Hashable, int] = {}
         self._labelled: Dict[int, List[Tuple[int, int, int, int]]] = {}
 
@@ -276,6 +287,8 @@ class GraphExplorer(InstrumentedExplorer):
         state tuples they stand for."""
         graph = self.graph
         table = monitor.transition_table(self.labels)
+        if self.labels.sync():
+            self._labelled.clear()  # labels renumbered for a new atom
         rows = table.rows
         root_key = (self._snap_id(graph.root), 0)
         visited = {root_key}
@@ -318,7 +331,7 @@ class GraphExplorer(InstrumentedExplorer):
                             result.depth_completed = depth + 1
                             result.states_explored = len(visited)
                             result.counterexample = self._trace(
-                                parents, node_key, index, label
+                                parents, node_key, node, index
                             )
                             result.layer_transitions.append(
                                 result.transitions - layer_start
@@ -336,7 +349,7 @@ class GraphExplorer(InstrumentedExplorer):
                                 )
                                 return result
                             visited.add(child_key)
-                            parents[child_key] = (node_key, index, label)
+                            parents[child_key] = (node_key, node, index)
                             next_frontier.append((child, new_state, child_key))
                     result.transitions = base + num_inputs
                 result.layer_transitions.append(result.transitions - layer_start)
@@ -352,18 +365,22 @@ class GraphExplorer(InstrumentedExplorer):
         return result
 
     def _trace(
-        self, parents: Dict, key: Tuple[int, int], index: int, label: int
+        self, parents: Dict, key: Tuple[int, int], node: int, index: int
     ) -> List[Tuple[Dict[str, int], Frame]]:
         """The ``(inputs, frame)`` steps from the walk's root to ``key``
-        (following ``parents``: ``child -> (parent, input_index,
-        label)``), then the transition ``(index, label)`` out of it."""
-        steps = [(index, label)]
+        (following ``parents``: ``child -> (parent, parent node,
+        input_index)``), then the transition ``index`` out of ``node``.
+        Each frame is the graph's own edge frame: a label stands for a
+        whole valuation class, not for the frame the path took."""
+        steps = [(node, index)]
         while parents[key] is not None:
-            key, index, label = parents[key]
-            steps.append((index, label))
+            key, node, index = parents[key]
+            steps.append((node, index))
         steps.reverse()
-        frames = self.labels.frames
-        return [(dict(self.input_space[i]), frames[f]) for i, f in steps]
+        successors = self.graph.successors
+        return [
+            (dict(self.input_space[i]), successors(n)[i][0]) for n, i in steps
+        ]
 
     def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
         """Covering-trace search (paper §4.1): the property walk with a
@@ -382,8 +399,8 @@ class _CoverMonitor:
     assumptions' antecedents fire on the (assumption-satisfying) frame
     and never decides, so the walk visits exactly the reachable design
     states.  Filling each label's entry once records the same fired set
-    as checking every walked edge, since the union over a label's
-    repeats is the label's own firings."""
+    as checking every walked edge: antecedents are atoms, so every frame
+    of a label fires the same ones (the label's mask bits)."""
 
     def __init__(self, checks):
         self.checks = checks
@@ -394,15 +411,17 @@ class _CoverMonitor:
     def transition_table(self, labels: FrameLabels) -> "_CoverMonitor":
         self.labels = labels
         self.antecedents = [
-            (name, labels.atom(antecedent)) for name, antecedent, _ in self.checks
+            (name, 1 << labels.atom(antecedent))
+            for name, antecedent, _ in self.checks
         ]
         self.rows: List[Dict[int, Tuple[int, None]]] = [{}]
         return self
 
     def miss(self, state_id: int, label: int) -> Tuple[int, None]:
         fired = self.fired
-        for name, atom in self.antecedents:
-            if name not in fired and self.labels.value(label, atom):
+        mask = self.labels.values[label]
+        for name, bit in self.antecedents:
+            if mask & bit:
                 fired.add(name)
         entry = self.rows[state_id][label] = (0, None)
         return entry

@@ -2,13 +2,18 @@
 
 :class:`repro.verifier.reach.GraphExplorer` steps each assertion through
 a lazily filled :class:`repro.sva.monitor.MonitorTable` over frame
-labels instead of calling :meth:`PropertyMonitor.step` per edge.  Two
-kinds of check hold it to the reference semantics:
+labels — atom-valuation classes — instead of calling
+:meth:`PropertyMonitor.step` per edge.  Three kinds of check hold it to
+the reference semantics:
 
 * a hypothesis differential test drives the generated assertions of
   suite tests over random sequences of real and perturbed design
   frames, and requires the table's state and verdict to equal
   ``PropertyMonitor.step``/``verdict`` at every cycle;
+* an exhaustive differential test steps every generated assertion of
+  mp, sb and iwp24 (fixed and buggy) over every reachable product edge
+  of the graph, with the atoms declared as the RTLCheck flow declares
+  them, against the reference monitor on the edge's concrete frame;
 * budget-truncated property walks (state-budget exits, depth-budget
   exits, and early counterexamples) must reproduce digests pinned
   before the table existed, when every edge still ran
@@ -28,7 +33,8 @@ from hypothesis import strategies as st
 
 from repro import RTLCheck, get_test
 from repro.sva import AssumptionChecker, PropertyMonitor
-from repro.sva.monitor import FrameLabels
+from repro.sva import ast as sva_ast
+from repro.sva.monitor import FrameLabels, walk_atoms
 from repro.verifier import Budget, GraphExplorer
 from repro.verifier.config import EXPLORER_BUDGET
 from repro.vscale.soc import MultiVScale
@@ -154,12 +160,39 @@ def _generated(name):
     return RTLCheck().generate(get_test(name))
 
 
-def _explorer(name, variant):
+def _explorer(name, variant, atoms=()):
     generated = _generated(name)
     return GraphExplorer(
         MultiVScale(generated.compiled, variant),
         AssumptionChecker(generated.assumptions),
+        atoms=atoms,
     )
+
+
+def _declared_explorer(name, variant):
+    """An explorer with the test's atoms declared up front, as the
+    RTLCheck flow builds it, after its covering walk."""
+    generated = _generated(name)
+    explorer = _explorer(
+        name, variant, walk_atoms(generated.assumptions, generated.assertions)
+    )
+    explorer.cover_assumptions(EXPLORER_BUDGET)
+    return explorer
+
+
+def _atom_signals(labels):
+    """The signals the labels' atoms read, in first-read order."""
+    reads = {}
+    stack = list(reversed(labels.atoms))
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, (sva_ast.Sig, sva_ast.SigEq)):
+            reads.setdefault(expr.name)
+        elif isinstance(expr, sva_ast.BNot):
+            stack.append(expr.body)
+        elif isinstance(expr, (sva_ast.BAnd, sva_ast.BOr)):
+            stack.extend(reversed(expr.operands))
+    return list(reads)
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +263,12 @@ class TestCompiledStepMatchesReference:
             lookups = monitor.verdict_memo_hits + monitor.verdict_memo_misses
             assert lookups == repeats * len(trace)
 
-    def test_atoms_are_shared_and_evaluated_once(self):
+    def test_atoms_are_shared_and_evaluated_once(self, monkeypatch):
         """Structurally equal predicates of different assertions are
-        one atom, and stepping every assertion over one frame evaluates
-        each atom at most once."""
+        one atom, and a frame's label carries every atom's value,
+        computed once by the compiled valuation: stepping every
+        assertion reads the label's bits and never evaluates an
+        expression on the frame."""
         assertions = _generated("sb").assertions
         labels = FrameLabels()
         monitors = [PropertyMonitor(directive) for directive in assertions]
@@ -246,11 +281,160 @@ class TestCompiledStepMatchesReference:
             for expr, _target in edges
         ]
         assert len(labels.atoms) == len(set(exprs)) < len(exprs)
-        label = labels.label(_frames("sb")[0])
-        for table in tables:
-            table.step(0, label)
-        evaluated = sum(n.memo_misses for m in monitors for n in m.nfas)
-        assert evaluated == len(labels.values[label])
+        frame = _frames("sb")[0]
+        with monkeypatch.context() as patch:
+            for cls in (sva_ast.Sig, sva_ast.SigEq, sva_ast.BNot,
+                        sva_ast.BAnd, sva_ast.BOr, sva_ast.BConst):
+                patch.setattr(cls, "evaluate", _no_evaluate)
+            label = labels.label(frame)
+            for table in tables:
+                table.step(0, label)
+            assert labels.label(frame) == label
+        assert labels.frames == [frame] and labels.frames[0] is frame
+        assert labels.values[label] == sum(
+            bool(atom.evaluate(frame)) << bit
+            for bit, atom in enumerate(labels.atoms)
+        )
+        # Every leaf is pending in the initial state, so each table's
+        # first step computes one step per leaf.
+        computed = sum(n.memo_misses for m in monitors for n in m.nfas)
+        assert computed == sum(len(m.nfas) for m in monitors)
+
+
+def _no_evaluate(self, frame):
+    raise AssertionError("atom evaluated outside the compiled valuation")
+
+
+def _reference_walk(explorer, directive):
+    """Step ``directive``'s class-keyed table and the reference monitor
+    side by side over every reachable product edge (breadth-first, a
+    branch ends once its verdict is decided, as in the walk); returns
+    the number of edges compared."""
+    graph = explorer.graph
+    labels = explorer.labels
+    table = PropertyMonitor(directive).transition_table(labels)
+    labels.sync()
+    reference = PropertyMonitor(directive)
+    start = (graph.root, 0, reference.initial())
+    seen = {(graph.snap(graph.root), 0)}
+    frontier = [start]
+    compared = 0
+    while frontier:
+        next_frontier = []
+        for node, state_id, state in frontier:
+            for _index, _inputs, frame, child in graph.live_successors(node):
+                next_id, verdict = table.step(state_id, labels.label(frame))
+                next_state = reference.step(state, frame)
+                assert table.states[next_id] == next_state, directive.name
+                assert verdict is reference.verdict(next_state), directive.name
+                compared += 1
+                key = (graph.snap(child), next_id)
+                if verdict is None and key not in seen:
+                    seen.add(key)
+                    next_frontier.append((child, next_id, next_state))
+        frontier = next_frontier
+    return compared
+
+
+class TestValuationClasses:
+    @pytest.mark.parametrize("variant", ["fixed", "buggy"])
+    @pytest.mark.parametrize("name", TESTS)
+    def test_class_tables_match_reference_on_graph_frames(self, name, variant):
+        """Every generated assertion, every reachable product edge: the
+        table keyed by valuation class steps and decides exactly as the
+        reference monitor does on the edge's own frame."""
+        explorer = _declared_explorer(name, variant)
+        labels = explorer.labels
+        for frame in labels.frames:
+            assert labels.values[labels.label(frame)] == sum(
+                bool(atom.evaluate(frame)) << bit
+                for bit, atom in enumerate(labels.atoms)
+            )
+        atoms = len(labels.atoms)
+        compared = sum(
+            _reference_walk(explorer, directive)
+            for directive in _generated(name).assertions
+        )
+        assert compared > 0
+        # Every atom was declared: no walk grew the valuation.
+        assert len(labels.atoms) == atoms
+
+    def test_frames_differing_in_unread_signals_share_a_label(self):
+        explorer = _declared_explorer("sb", "fixed")
+        labels = explorer.labels
+        frame = labels.frames[0]
+        unread = sorted(set(frame) - set(_atom_signals(labels)))
+        assert unread
+        twin = dict(frame)
+        for signal in unread:
+            twin[signal] += 1
+        assert labels.label(twin) == labels.label(frame)
+        # Flipping a signal an atom reads changes the class.
+        read = next(
+            signal
+            for signal in _atom_signals(labels)
+            if any(
+                labels.label(dict(frame, **{signal: value}))
+                != labels.label(frame)
+                for value in range(4)
+            )
+        )
+        assert read in frame
+        # Classes are far fewer than labelled frames.
+        assert len(labels.values) < len(labels.frames)
+
+    def test_counterexample_frames_are_graph_edge_frames(self):
+        """Buggy counterexamples' frames are the graph's own edge frames
+        along each path (identity, not equality), not the first frame
+        seen of each class."""
+        stand_ins = 0
+        for name in TESTS:
+            explorer = _declared_explorer(name, "buggy")
+            graph = explorer.graph
+            labels = explorer.labels
+            representative = {}
+            for frame in labels.frames:
+                representative.setdefault(labels.label(frame), frame)
+            cexes = 0
+            for directive in _generated(name).assertions:
+                result = explorer.check_property(
+                    PropertyMonitor(directive), EXPLORER_BUDGET
+                )
+                if result.counterexample is None:
+                    continue
+                cexes += 1
+                node = graph.root
+                for inputs, frame in result.counterexample:
+                    index = graph.input_space.index(inputs)
+                    edge_frame, node = graph.successors(node)[index]
+                    assert frame is edge_frame
+                    if representative[labels.label(frame)] is not frame:
+                        stand_ins += 1
+            assert cexes > 0, name
+        # The check has teeth: some path frames are not their class's
+        # first-seen frame, so a representative would differ.
+        assert stand_ins > 0
+
+    @pytest.mark.parametrize("variant", ["fixed", "buggy"])
+    def test_undeclared_atoms_relabel_and_match_declared(self, variant):
+        """A monitor reading atoms nobody declared (here: only the
+        assumption antecedents were) relabels the frames and gets the
+        declared explorer's answers, counterexamples included."""
+        generated = _generated("sb")
+        declared = _declared_explorer("sb", variant)
+        partial = _explorer("sb", variant, walk_atoms(generated.assumptions, ()))
+        partial.cover_assumptions(EXPLORER_BUDGET)
+        assert partial.labels.frames
+        before = len(partial.labels.atoms)
+        for directive in generated.assertions:
+            expected = declared.check_property(
+                PropertyMonitor(directive), EXPLORER_BUDGET
+            )
+            got = partial.check_property(PropertyMonitor(directive), EXPLORER_BUDGET)
+            assert strip_seconds(got.to_dict()) == strip_seconds(expected.to_dict())
+        # The walks added every assertion atom after frames were
+        # labelled, so the relabelling path ran.
+        assert before < len(partial.labels.atoms) == len(declared.labels.atoms)
 
 
 class TestTruncatedWalksPinned:
