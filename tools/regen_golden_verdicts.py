@@ -39,6 +39,17 @@ first 60 long-program fuzz tests and every suite test, on both memory
 variants, in a few seconds:
 
     PYTHONPATH=src python tools/regen_golden_verdicts.py --harvest-only
+
+``--rtl-only`` runs no verifier either: it rewrites the RTL enumeration
+pin (``tests/fixtures/rtl_enumeration.json``), a digest of the sorted
+outcome set plus ``complete``/``states``/``transitions``/
+``drained_states`` of :func:`repro.difftest.oracles.rtl_verdicts` for
+every suite test on both memory variants, the first 20 seed-0 fuzz
+programs (the ``fuzz`` benchmark workload's) on the fixed memory, and
+every suite test on the buggy memory under a 500-state budget (the
+budget-trip path), in under a minute:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --rtl-only
 """
 
 from __future__ import annotations
@@ -60,15 +71,27 @@ FIXTURE_DIR = os.path.join(
 FIXTURE = os.path.join(FIXTURE_DIR, "golden_verdicts.json")
 SUITE_FIXTURE = os.path.join(FIXTURE_DIR, "paper_suite.json")
 HARVEST_FIXTURE = os.path.join(FIXTURE_DIR, "trace_harvest.json")
+RTL_FIXTURE = os.path.join(FIXTURE_DIR, "rtl_enumeration.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
 SUITE_KIND = "rtlcheck-paper-suite"
 HARVEST_KIND = "rtlcheck-trace-harvest"
+RTL_KIND = "rtlcheck-rtl-enumeration"
 
 #: The harvest pin's fuzz slice: ``FuzzGenerator(seed, max_procs,
 #: long_programs).suite(count)``, the tests a ``fuzz --long-programs``
 #: campaign at seed 0 starts with.
 HARVEST_FUZZ = {"seed": 0, "max_procs": 4, "long_programs": True, "count": 60}
+
+
+#: The RTL pin's fuzz slice: the first ``count`` tests of
+#: ``FuzzGenerator(seed, max_procs, long_programs)``, the programs the
+#: ``fuzz`` benchmark workload enumerates, on the fixed memory.
+RTL_FUZZ = {"seed": 0, "max_procs": 4, "long_programs": False, "count": 20}
+
+#: The RTL pin's budget slice: every suite test on the buggy memory
+#: under this ``max_states``, small enough that the budget trips.
+RTL_BUDGET = 500
 
 
 def strip_seconds(obj):
@@ -215,6 +238,58 @@ def harvest_rows() -> list:
     return rows
 
 
+def outcomes_digest(outcomes) -> str:
+    """sha256 of an outcome set as canonical JSON (sorted outcomes)."""
+    text = json.dumps(sorted(outcomes))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def rtl_cases() -> list:
+    """``(source, test, memory variant, max_states)`` the RTL pin
+    covers, in pin order; ``max_states`` is ``None`` for the default
+    budget."""
+    from repro import paper_suite
+    from repro.difftest.generate import FuzzGenerator
+
+    suite = paper_suite()
+    generator = FuzzGenerator(
+        RTL_FUZZ["seed"], RTL_FUZZ["max_procs"], RTL_FUZZ["long_programs"]
+    )
+    cases = [
+        ("suite", test, variant, None)
+        for test in suite
+        for variant in ("fixed", "buggy")
+    ]
+    cases += [
+        ("fuzz", test, "fixed", None)
+        for test in generator.suite(RTL_FUZZ["count"])
+    ]
+    cases += [("budget", test, "buggy", RTL_BUDGET) for test in suite]
+    return cases
+
+
+def rtl_row(source, test, variant, max_states) -> dict:
+    """One RTL pin row: the enumeration's outcome digest and counts."""
+    from repro.cache.keys import litmus_digest
+    from repro.difftest.oracles import rtl_verdicts
+
+    kwargs = {} if max_states is None else {"max_states": max_states}
+    enum = rtl_verdicts(test, variant, **kwargs)
+    return {
+        "test": test.name,
+        "source": source,
+        "memory": variant,
+        "max_states": max_states,
+        "litmus_digest": litmus_digest(test),
+        "outcomes_digest": outcomes_digest(enum.outcomes),
+        "outcome_count": len(enum.outcomes),
+        "complete": enum.complete,
+        "states": enum.states,
+        "transitions": enum.transitions,
+        "drained_states": enum.drained_states,
+    }
+
+
 def write_document(document: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
@@ -236,8 +311,29 @@ def main(argv=None) -> int:
         action="store_true",
         help="write only the trace harvest pin (no verifier runs)",
     )
+    parser.add_argument(
+        "--rtl-only",
+        action="store_true",
+        help="write only the RTL enumeration pin (no verifier runs)",
+    )
     parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.rtl_only:
+        output = args.output or RTL_FIXTURE
+        rows = [rtl_row(*case) for case in rtl_cases()]
+        write_document(
+            {
+                "schema_version": 1,
+                "kind": RTL_KIND,
+                "fuzz": RTL_FUZZ,
+                "budget": RTL_BUDGET,
+                "tests": rows,
+            },
+            output,
+        )
+        print(f"wrote {len(rows)} RTL enumeration rows to {output}")
+        return 0
 
     if args.harvest_only:
         output = args.output or HARVEST_FIXTURE
