@@ -235,17 +235,15 @@ def rtl_verdicts(
     test: LitmusTest,
     memory_variant: str = "fixed",
     max_states: int = DEFAULT_MAX_STATES,
-    state_backend: str = "array",
 ) -> ArchEnumeration:
-    """Exhaustive (budgeted) architectural enumeration of the design."""
+    """Exhaustive (budgeted) architectural enumeration of the design, on
+    its frame-free compiled step whatever the campaign's state backend."""
     check_wellformed(test)
 
     def body():
         from repro.vscale.soc import MultiVScale
 
-        design = MultiVScale(
-            compile_test(test), memory_variant, state_backend=state_backend
-        )
+        design = MultiVScale(compile_test(test), memory_variant)
         return enumerate_design_outcomes(design, max_states=max_states)
 
     return _guard(test, "rtl", body)
@@ -353,9 +351,10 @@ def evaluate_oracles(
     same observability counters the cold computation records, so a
     cached fuzz campaign's report aggregates match an uncached one's.
 
-    ``state_backend`` selects the design backend of the rtl and
-    verifier layers; the trace layer always harvests on the compiled
-    frame-free step (:func:`repro.vscale.trace.harvest_traces`).
+    ``state_backend`` selects the design backend of the verifier
+    layer; the rtl and trace layers always run on the compiled
+    frame-free step (:func:`repro.verifier.outcomes.enumerate_design_outcomes`,
+    :func:`repro.vscale.trace.harvest_traces`).
     """
     check_wellformed(test)
     for oracle in oracles:
@@ -453,10 +452,7 @@ def evaluate_oracles(
                                 recorder.count("arch.budget_trips", 1)
                 if enum is None:
                     enum = rtl_verdicts(
-                        test,
-                        memory_variant,
-                        max_states=max_states,
-                        state_backend=state_backend,
+                        test, memory_variant, max_states=max_states
                     )
                     if key is not None:
                         cache.store_oracle(

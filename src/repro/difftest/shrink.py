@@ -45,10 +45,10 @@ def discrepancy_predicate(
 
     ``trace_samples``/``trace_seed`` parameterize the trace-oracle
     kinds so the shrinker replays exactly the campaign's sampling;
-    ``state_backend`` keeps the rtl and verifier replays on the
-    campaign's design backend (verdict-equivalent, so minimizations are
-    too); trace replays harvest as the campaign did, on the compiled
-    step.
+    ``state_backend`` keeps the verifier replays on the campaign's
+    design backend (verdict-equivalent, so minimizations are too); rtl
+    and trace replays run as the campaign's did, on the compiled
+    frame-free step.
     """
     from repro.difftest.oracles import (
         DEFAULT_TRACE_SAMPLES,
@@ -73,22 +73,12 @@ def discrepancy_predicate(
 
     def rtl_vs_model(test: LitmusTest) -> bool:
         op_set, _ok, _tso = operational_verdicts(test)
-        rtl = rtl_verdicts(
-            test,
-            memory_variant,
-            max_states=max_states,
-            state_backend=state_backend,
-        )
+        rtl = rtl_verdicts(test, memory_variant, max_states=max_states)
         return rtl.complete and rtl.outcomes != op_set
 
     def verifier_vs_rtl(test: LitmusTest) -> bool:
         op_set, _ok, _tso = operational_verdicts(test)
-        rtl = rtl_verdicts(
-            test,
-            memory_variant,
-            max_states=max_states,
-            state_backend=state_backend,
-        )
+        rtl = rtl_verdicts(test, memory_variant, max_states=max_states)
         if not rtl.complete or rtl.outcomes != op_set:
             return False
         result = verifier_verdicts(

@@ -195,10 +195,6 @@ class StateInterner:
 FrameHook = Callable[[Frame, int], bool]
 
 
-def _keep_all(frame: Frame, repeats: int) -> bool:
-    return True
-
-
 class Design:
     """Base class for simulatable designs. Subclasses implement the
     two-phase protocol plus either a slot layout (the vector backends)
@@ -347,16 +343,6 @@ class Design:
             return self._interner.intern(tuple(vec))
         return None
 
-    def state_drained(self, state: Hashable) -> bool:
-        """Whether ``state`` is quiescent, without the caller paying a
-        restore on the kernel backend (the compiled predicate reads the
-        slot vector directly).  Elsewhere the design restores and asks
-        :meth:`drained`."""
-        if self.state_backend == "kernel":
-            return self.step_kernel.drained(self._interner.state(state))
-        self.restore(state)
-        return self.drained()
-
     def drained(self) -> bool:
         """Whether the architectural state can no longer change (the
         default design never drains; subclasses override)."""
@@ -421,22 +407,6 @@ class Design:
             return checker.frame_ok_repeated(frame, repeats)
 
         return self.step_batch(state, input_space, hook)
-
-    def successor_batch(
-        self,
-        states: Sequence[Hashable],
-        input_space: Sequence[Inputs],
-    ) -> List[List[Hashable]]:
-        """Frame-free expansion of a whole frontier: for each state, the
-        successor snapshots of every input choice (no pruning hook, no
-        frames).  The generic implementation loops :meth:`step_batch`;
-        kernel-backed designs override it to step the entire frontier
-        as one slot matrix when numpy is available."""
-        results: List[List[Hashable]] = []
-        for state in states:
-            edges = self.step_batch(state, input_space, _keep_all)
-            results.append([edge[1] for edge in edges])
-        return results
 
     def input_space(self) -> List[Dict[str, int]]:
         """Every assignment of the free inputs (the verifier's branching

@@ -15,13 +15,12 @@ emitted as a single dict literal in exactly the interpreter's key
 order, so downstream consumers (assumption checks, property monitors,
 VCD rendering) observe byte-identical values.
 
-A kernel optionally also provides a *matrix* path: with numpy
-available, an entire frontier steps as one 2-D ``(n_states, n_slots)``
-int64 slot matrix per call.  The architectural-outcome enumeration
-uses it when the frontier is at least :data:`MATRIX_MIN_ROWS` rows;
-below that the scalar kernel wins.  (The trace harvest steps far
-narrower wavefronts and uses only the frame-free scalar step, see
-:func:`repro.vscale.kernel.build_state_step`.)
+Consumers that never look at signals — the trace harvest and the
+architectural-outcome enumeration — do not take this kernel at all:
+they step raw slot tuples through the frame-free ``step_state`` /
+``drained`` pair alone (:func:`repro.vscale.kernel.build_state_step`,
+reached through :meth:`repro.vscale.soc.MultiVScale.state_step`),
+whatever state backend the design runs on.
 
 Determinism contract: a kernel is a pure function of the slot vector.
 It must reproduce the interpreter bit for bit — same frames, same
@@ -34,24 +33,9 @@ in ``tests/test_kernel_equivalence.py`` enforces this.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.rtl.design import Frame, Inputs
-
-#: Minimum frontier size before the numpy matrix path engages; under
-#: this the per-call numpy overhead (array build, masks) costs more
-#: than the scalar kernel's straight-line Python.
-MATRIX_MIN_ROWS = 16
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when unavailable (the kernel
-    backend then runs scalar-only; results are identical either way)."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is an optional dep
-        return None
-    return numpy
 
 
 class StepKernel:
@@ -66,48 +50,19 @@ class StepKernel:
     slot(s) *unapplied*; callers patch them via :meth:`apply_inputs`
     (or directly) before interning, mirroring the array backend's
     one-slot-per-choice expansion.
-
-    ``step_state(vec)`` is the frame-free variant for consumers that
-    never look at signals.  ``drained(vec)`` answers quiescence without
-    restoring the design object.  ``step_matrix``/``drained_matrix``
-    are the optional numpy paths (``None`` without numpy).
     """
 
-    __slots__ = (
-        "step",
-        "step_state",
-        "drained",
-        "apply_inputs",
-        "step_matrix",
-        "drained_matrix",
-        "np",
-        "source",
-    )
+    __slots__ = ("step", "apply_inputs", "source")
 
     def __init__(
         self,
         step: Callable[..., Tuple[Frame, Optional[List[int]]]],
-        step_state: Callable[[Sequence[int]], List[int]],
-        drained: Callable[[Sequence[int]], bool],
         apply_inputs: Callable[[List[int], Inputs], None],
-        step_matrix: Optional[Callable[[Any], Any]] = None,
-        drained_matrix: Optional[Callable[[Any], Any]] = None,
-        np: Any = None,
         source: str = "",
     ):
         self.step = step
-        self.step_state = step_state
-        self.drained = drained
         self.apply_inputs = apply_inputs
-        self.step_matrix = step_matrix
-        self.drained_matrix = drained_matrix
-        self.np = np
         self.source = source
-
-    def matrix_ready(self, rows: int) -> bool:
-        """True when the numpy path exists and ``rows`` states amortize
-        its per-call overhead."""
-        return self.step_matrix is not None and rows >= MATRIX_MIN_ROWS
 
     def __reduce__(self):
         raise TypeError(

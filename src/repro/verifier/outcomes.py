@@ -5,15 +5,26 @@ module instead answers the *architectural* question behind differential
 testing (:mod:`repro.difftest`): which final (register, memory) states
 can the design reach at all, over every free-input schedule?
 
-It is a plain breadth-first reachability walk over design snapshots —
-no assumptions, no monitors — that harvests the architectural state of
-every drained state it discovers.  A design state is *drained* when the
-design reports its architectural results can no longer change
-(:meth:`~repro.vscale.soc.MultiVScale.drained`); drained states are not
-expanded further, so the walk terminates on any design whose
-non-drained state space is finite (litmus-programmed Multi-V-scale
-always is: unfair schedules cycle through a finite set of stalled
-states and are deduplicated away).
+It is a plain breadth-first reachability walk — no assumptions, no
+monitors — that harvests the architectural state of every drained state
+it discovers.  The walk never looks at signals, so it runs on the
+design's frame-free compiled step
+(:meth:`~repro.vscale.soc.MultiVScale.state_step`) whatever state
+backend the design was built with: states are raw slot tuples kept in a
+plain set, each frontier state takes one ``step_state`` call, and its
+successors are that buffer with the arbiter grant slot patched once per
+input choice (the grant is the only free input and feeds only that
+slot).  A state is *drained* when its architectural results can no
+longer change (the compiled ``drained`` predicate, equal to
+:meth:`~repro.vscale.soc.MultiVScale.drained`); only drained states are
+read back into the design, and they are not expanded further, so the
+walk terminates on any design whose non-drained state space is finite
+(litmus-programmed Multi-V-scale always is: unfair schedules cycle
+through a finite set of stalled states and are deduplicated away).
+
+Visit order is frontier order, then input order, and the budget is
+checked before each new state is inserted, so ``states``,
+``transitions`` and the budget-trip point are fixed by the design alone.
 
 The enumeration is exhaustive unless the ``max_states`` budget trips,
 in which case ``complete`` is ``False`` and callers must treat the
@@ -24,7 +35,7 @@ reporting spurious discrepancies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from repro import obs
@@ -73,12 +84,14 @@ def enumerate_design_outcomes(
 ) -> ArchEnumeration:
     """Enumerate every architectural final state ``design`` can reach.
 
-    ``design`` must implement the :class:`~repro.rtl.design.Design`
-    protocol plus the architectural-harvest trio ``drained()`` /
-    ``register_results()`` / ``memory_results()`` (both Multi-V-scale
-    SoCs do).
+    ``design`` must provide the frame-free compiled step
+    (:meth:`~repro.vscale.soc.MultiVScale.state_step`) plus
+    ``read_slots()`` and the architectural-harvest pair
+    ``register_results()`` / ``memory_results()``, as Multi-V-scale
+    does; designs without a slot layout (Multi-V-scale-TSO) have no
+    such step and are refused.
     """
-    for method in ("drained", "register_results", "memory_results"):
+    for method in ("state_step", "register_results", "memory_results"):
         if not hasattr(design, method):
             raise ReproError(
                 f"design {type(design).__name__} lacks {method}(); cannot "
@@ -97,7 +110,8 @@ def enumerate_design_outcomes(
     return result
 
 
-def _harvest(design) -> ArchOutcome:
+def _harvest(design, vec) -> ArchOutcome:
+    design.read_slots(vec)
     return (
         tuple(sorted(design.register_results().items())),
         tuple(sorted(design.memory_results().items())),
@@ -105,32 +119,30 @@ def _harvest(design) -> ArchOutcome:
 
 
 def _enumerate(design, max_states: int) -> ArchEnumeration:
-    design.reset()
-    root = design.snapshot()
+    step = design.state_step()
+    step_state, drained = step.step_state, step.drained
+    grant_slot, selects = step.grant_slot, step.selects
+    root = step.start
     seen = {root}
     outcomes = set()
     transitions = 0
     drained_states = 0
     complete = True
-    design.restore(root)
-    if design.drained():
-        outcomes.add(_harvest(design))
+    if drained(root):
+        outcomes.add(_harvest(design, root))
         frontier: List = []
     else:
         frontier = [root]
-    input_space = design.input_space()
 
     while frontier and complete:
         next_frontier: List = []
-        # No assumptions, no monitors: the walk needs only successor
-        # snapshots, so the whole frontier expands through the
-        # frame-free batch (one shared evaluation per state on batching
-        # designs, one slot-matrix step per layer on the kernel
-        # backend).  ``state_drained`` asks the compiled quiescence
-        # predicate where one exists; the restore is paid only for the
-        # drained states whose architectural results are harvested.
-        for successors in design.successor_batch(frontier, input_space):
-            for child in successors:
+        for state in frontier:
+            # One compiled step per state; its successors differ only in
+            # the grant slot, patched per input choice.
+            buf = step_state(state)
+            for select in selects:
+                buf[grant_slot] = select
+                child = tuple(buf)
                 transitions += 1
                 if child in seen:
                     continue
@@ -138,10 +150,9 @@ def _enumerate(design, max_states: int) -> ArchEnumeration:
                     complete = False
                     break
                 seen.add(child)
-                if design.state_drained(child):
+                if drained(child):
                     drained_states += 1
-                    design.restore(child)
-                    outcomes.add(_harvest(design))
+                    outcomes.add(_harvest(design, child))
                 else:
                     next_frontier.append(child)
             if not complete:

@@ -10,18 +10,14 @@ rd/rs2, imm)``), plus the declared data words as a ``word -> slot``
 dict.  The frame-free sources therefore depend only on the slot layout,
 and designs that share a layout but run different programs share one
 compiled code object (:data:`_CODE_CACHE`); :func:`build_state_step`
-hands the trace harvest just that frame-free pair.  The generated
+hands the trace harvest and the architectural-outcome enumeration just
+that frame-free pair.  The generated
 scalar ``step`` mirrors
 :meth:`MultiVScale.eval_comb` + :meth:`MultiVScale.tick` statement for
 statement — including the frame's exact key insertion order, the
 load->store writeback forwarding, the fetch-past-imem error, and the
 memory word-set growth guard — so the kernel backend is bit-identical
 to the interpreter by construction *and* by the differential tests.
-
-The numpy matrix path (:func:`_build_matrix_kernel`) steps a whole
-``(n_states, n_slots)`` int64 frontier per call with the same
-semantics, unrolled per core with data-dependent register/word indices
-resolved by fancy indexing.
 
 Decode kind codes (``DMEM_LOAD``/``DMEM_STORE`` align with 1/2 on
 purpose — the view's ``wb_type`` is just ``kind if kind <= 2 else 0``):
@@ -45,7 +41,7 @@ from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.errors import RtlError, SvaError
 from repro.isa import Addi, Halt, Lui, Lw, Sw
-from repro.rtl.kernel import StepKernel, numpy_or_none
+from repro.rtl.kernel import StepKernel
 from repro.vscale.core import cached_decode
 from repro.vscale.memory import BuggyMemory, MemoryBase
 
@@ -364,212 +360,6 @@ def _generate_drained_source(spec: _KernelSpec) -> str:
 
 
 # ----------------------------------------------------------------------
-# numpy matrix path
-# ----------------------------------------------------------------------
-
-
-def _build_matrix_kernel(np, spec: _KernelSpec):
-    """Vectorized step over a ``(n_states, n_slots)`` int64 matrix.
-
-    Same semantics as the scalar kernel, unrolled per core; per-row
-    register and memory-word indices resolve through fancy indexing,
-    instruction decode through ``searchsorted`` on each core's sorted
-    word table.  Returns ``(step_matrix, drained_matrix)``.
-    """
-    M32 = np.int64(_M32)
-    C = spec.num_cores
-    arb, mem = spec.arb, spec.mem
-    buggy, woff = spec.buggy, spec.woff
-    slot_words = np.asarray(spec.words, dtype=np.int64)
-    nwords = len(spec.words)
-    mem_slot0 = spec.mem_slot0
-    sd_off = np.asarray(spec.sd_off, dtype=np.int64)
-    core_ids = np.arange(C, dtype=np.int64)
-
-    dec_tables = []
-    for i in range(C):
-        words = sorted(set(spec.imems[i]) | {0})
-        entries = [decode_entry(word) for word in words]
-        dec_tables.append(
-            (
-                np.asarray(words, dtype=np.int64),
-                np.asarray([e[0] for e in entries], dtype=np.int64),
-                np.asarray([e[1] for e in entries], dtype=np.int64),
-                np.asarray([e[2] for e in entries], dtype=np.int64),
-                np.asarray([e[3] for e in entries], dtype=np.int64),
-            )
-        )
-    imems = [
-        np.asarray(imem if imem else (0,), dtype=np.int64)
-        for imem in spec.imems
-    ]
-
-    def _word_slots(addrs):
-        """Map word addresses to memory-cell column offsets; returns
-        (clipped offsets, found mask)."""
-        if nwords == 0:
-            zero = np.zeros(len(addrs), dtype=np.int64)
-            return zero, zero != 0
-        pos = np.searchsorted(slot_words, addrs)
-        pos = np.minimum(pos, nwords - 1)
-        return pos, slot_words[pos] == addrs
-
-    def step_matrix(mat):
-        n = mat.shape[0]
-        rows = np.arange(n)
-        out = mat.copy()
-
-        kinds, mas, alus, lds, wrs, rs2s, isms = [], [], [], [], [], [], []
-        for i, B in enumerate(spec.core_bases):
-            dwords, dk, da1, da2, da3 = dec_tables[i]
-            dxv = mat[:, B + 2] != 0
-            dxw = mat[:, B + 3]
-            pos = np.minimum(np.searchsorted(dwords, dxw), len(dwords) - 1)
-            found = dxv & (dwords[pos] == dxw)
-            k = np.where(found, dk[pos], 0)
-            a1 = np.where(found, da1[pos], 0)
-            a2 = np.where(found, da2[pos], 0)
-            a3 = np.where(found, da3[pos], 0)
-            addsum = (mat[rows, B + 15 + a1] + a3) & M32
-            is_mem = (k == 1) | (k == 2)
-            kinds.append(k)
-            mas.append(np.where(is_mem, addsum, 0))
-            alus.append(
-                np.where(k == 4, addsum, np.where(k == 5, a3, 0))
-            )
-            lds.append(np.where(k == 1, a2, 0))
-            wrs.append(np.where(k >= 4, a2, -1))
-            rs2s.append(np.where(k == 2, a2, 0))
-            isms.append(is_mem)
-
-        ISM = np.stack(isms, axis=1)
-        KK = np.stack(kinds, axis=1)
-        MAS = np.stack(mas, axis=1)
-        granted = mat[:, arb]
-        g_ism = ISM[rows, granted]
-        g_k = KK[rows, granted]
-        g_mw = MAS[rows, granted] >> 2
-        stall = ISM & (core_ids[None, :] != granted[:, None])
-
-        pv = mat[:, mem] != 0
-        pcore = mat[:, mem + 1]
-        pk = np.where(pv, mat[:, mem + 2], 0)
-        pw = mat[:, mem + 3]
-        p_store = pv & (pk == 2)
-        p_load = pv & (pk == 1)
-        sdi = np.where(p_store, mat[rows, sd_off[pcore]], 0)
-        wpos, wfound = _word_slots(pw)
-        mem_val = np.where(wfound, mat[rows, mem_slot0 + wpos], 0)
-        if buggy:
-            wv = mat[:, woff] != 0
-            wa = mat[:, woff + 1]
-            wd = mat[:, woff + 2]
-            lo = np.where(
-                p_load, np.where(wv & (wa == pw), wd, mem_val), 0
-            )
-        else:
-            lo = np.where(p_load, mem_val, 0)
-
-        # -- memory tick -----------------------------------------------
-        if buggy:
-            new_store = g_ism & (g_k == 2)
-            push = new_store & wv
-            if push.any():
-                ppos, pfound = _word_slots(wa)
-                bad = push & ~pfound
-                if bad.any():
-                    raise _grow_error(int(wa[int(bad.argmax())]))
-                out[rows[push], mem_slot0 + ppos[push]] = wd[push]
-            out[:, woff] = np.where(new_store, 1, mat[:, woff])
-            out[:, woff + 1] = np.where(new_store, g_mw, wa)
-            out[:, woff + 2] = np.where(p_store, sdi, wd)
-        else:
-            if p_store.any():
-                spos, sfound = _word_slots(pw)
-                bad = p_store & ~sfound
-                if bad.any():
-                    raise _grow_error(int(pw[int(bad.argmax())]))
-                out[rows[p_store], mem_slot0 + spos[p_store]] = sdi[p_store]
-        gi = g_ism.astype(np.int64)
-        out[:, mem] = gi
-        out[:, mem + 1] = np.where(g_ism, granted, 0)
-        out[:, mem + 2] = np.where(g_ism, g_k, 0)
-        out[:, mem + 3] = np.where(g_ism, g_mw, 0)
-        out[:, arb + 1] = granted
-
-        # -- core ticks ------------------------------------------------
-        for i, B in enumerate(spec.core_bases):
-            k = kinds[i]
-            stall_i = stall[:, i]
-            dxv = mat[:, B + 2] != 0
-            wbv = mat[:, B + 5] != 0
-            wbt = mat[:, B + 7]
-            wbld = mat[:, B + 9]
-            wbwr = mat[:, B + 11]
-            ld_data = np.where(pv & (pcore == i) & (pk == 1), lo, 0)
-            is_load_wb = (wbt == 1) & (wbld != 0)
-            c1 = wbv & is_load_wb
-            if c1.any():
-                out[rows[c1], B + 15 + wbld[c1]] = ld_data[c1]
-            c2 = wbv & ~is_load_wb & (wbwr > 0)
-            if c2.any():
-                out[rows[c2], B + 15 + wbwr[c2]] = mat[c2, B + 12]
-            out[:, B + 14] = np.where(
-                wbv & (mat[:, B + 10] != 0), 1, mat[:, B + 14]
-            )
-
-            passing = ~(stall_i | ~dxv)
-            out[:, B + 5] = passing.astype(np.int64)
-            out[:, B + 6] = np.where(passing, mat[:, B + 4], 0)
-            out[:, B + 7] = np.where(passing & (k <= 2), k, 0)
-            # Post-writeback register read: store data forwards.
-            sdval = out[rows, B + 15 + rs2s[i]]
-            out[:, B + 8] = np.where(passing & (k == 2), sdval, 0)
-            out[:, B + 9] = np.where(passing, lds[i], 0)
-            out[:, B + 10] = np.where(passing & (k == 3), 1, 0)
-            out[:, B + 11] = np.where(passing, wrs[i], -1)
-            out[:, B + 12] = np.where(passing, alus[i], 0)
-            out[:, B + 13] = np.where(passing, mas[i], 0)
-
-            nostall = ~stall_i
-            fs_new = (mat[:, B + 1] != 0) | (dxv & (k == 3))
-            out[:, B + 1] = np.where(nostall, fs_new, mat[:, B + 1])
-            fetch = nostall & ~fs_new
-            drain = nostall & fs_new
-            imem = imems[i]
-            x = (mat[:, B] - spec.base_pcs[i]) >> 2
-            bad = fetch & ((x < 0) | (x >= len(imem)))
-            if bad.any():
-                row = int(bad.argmax())
-                raise _fetch_error(i, int(mat[row, B]))
-            xc = np.clip(x, 0, len(imem) - 1)
-            word = imem[xc]
-            out[:, B + 2] = np.where(
-                fetch, 1, np.where(drain, 0, mat[:, B + 2])
-            )
-            out[:, B + 3] = np.where(
-                fetch, word, np.where(drain, 0, mat[:, B + 3])
-            )
-            out[:, B + 4] = np.where(
-                fetch, mat[:, B], np.where(drain, 0, mat[:, B + 4])
-            )
-            out[:, B] = np.where(fetch, mat[:, B] + 4, mat[:, B])
-        return out
-
-    def drained_matrix(mat):
-        quiet = mat[:, mem] == 0
-        for B in spec.core_bases:
-            quiet &= (
-                (mat[:, B + 14] != 0)
-                & (mat[:, B + 2] == 0)
-                & (mat[:, B + 5] == 0)
-            )
-        return quiet
-
-    return step_matrix, drained_matrix
-
-
-# ----------------------------------------------------------------------
 # Fused assumption checking
 # ----------------------------------------------------------------------
 
@@ -755,11 +545,7 @@ def build_multi_vscale_kernel(design) -> StepKernel:
     namespace = _make_namespace(spec)
 
     step_src = _generate_step_source(spec, with_frame=True)
-    state_src = _generate_step_source(spec, with_frame=False)
-    drained_src = _generate_drained_source(spec)
     step = _exec_source(step_src, namespace, "step")
-    step_state = _exec_source(state_src, namespace, "step_state")
-    drained = _exec_source(drained_src, namespace, "drained")
 
     arb = spec.arb
     num_cores = spec.num_cores
@@ -767,21 +553,7 @@ def build_multi_vscale_kernel(design) -> StepKernel:
     def apply_inputs(buf, inputs):
         buf[arb] = inputs.get("arb_select", 0) % num_cores
 
-    np = numpy_or_none()
-    step_matrix = drained_matrix = None
-    if np is not None:
-        step_matrix, drained_matrix = _build_matrix_kernel(np, spec)
-
-    kernel = StepKernel(
-        step=step,
-        step_state=step_state,
-        drained=drained,
-        apply_inputs=apply_inputs,
-        step_matrix=step_matrix,
-        drained_matrix=drained_matrix,
-        np=np,
-        source=step_src + "\n" + state_src + "\n" + drained_src,
-    )
+    kernel = StepKernel(step=step, apply_inputs=apply_inputs, source=step_src)
     _KERNEL_CACHE.put(cache_key, kernel)
     return kernel
 
@@ -809,14 +581,15 @@ def build_checked_step(design, checker):
 def build_state_step(design):
     """The frame-free compiled pair ``(step_state, drained)`` for
     ``design`` (slot layout bound), for consumers that step raw slot
-    tuples and never look at signals — the trace harvest.
+    tuples and never look at signals — the trace harvest and the
+    architectural-outcome enumeration, through
+    :meth:`~repro.vscale.soc.MultiVScale.state_step`.
 
     ``step_state(vec)`` returns the successor as a fresh list with the
     arbiter grant slot unpatched; ``drained(vec)`` is the quiescence
-    predicate.  Unlike :func:`build_multi_vscale_kernel` this compiles
-    neither the framed ``step`` nor the numpy matrix kernel, never
-    imports numpy, and shares its code objects across every design with
-    the same slot layout."""
+    predicate.  Unlike :func:`build_multi_vscale_kernel` this does not
+    compile the framed ``step``, and it shares its code objects across
+    every design with the same slot layout."""
     spec = _KernelSpec(design)
     namespace = _make_namespace(spec)
     step_state = _exec_source(

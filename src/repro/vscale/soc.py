@@ -9,7 +9,7 @@ for this input" (§5.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import RtlError
 from repro.isa import encode
@@ -21,6 +21,19 @@ from repro.vscale.memory import BuggyMemory, FixedMemory, MemoryBase
 from repro.vscale.params import DMEM_LOAD, DMEM_STORE, NUM_CORES
 
 
+class StateStep(NamedTuple):
+    """What :meth:`MultiVScale.state_step` returns."""
+
+    start: Tuple[int, ...]
+    #: ``step_state(vec)`` -> the successor as a fresh list, grant
+    #: slot unpatched.
+    step_state: Callable[[Sequence[int]], List[int]]
+    drained: Callable[[Sequence[int]], bool]
+    grant_slot: int
+    #: Grant-slot value per input choice, in input-space order.
+    selects: Tuple[int, ...]
+
+
 class MultiVScale(Design):
     """The four-core V-scale SoC, programmed with one compiled litmus test.
 
@@ -28,11 +41,14 @@ class MultiVScale(Design):
     with the store-dropping bug of §7.1) or ``"fixed"`` (the paper's
     corrected memory).
 
-    ``state_backend`` selects the snapshot representation: ``"array"``
-    (the default — interned flat slot vectors with the batched
-    expansion kernel, see ``docs/performance.md``) or ``"kernel"`` (the
-    array representation stepped by a compiled per-design function,
-    :mod:`repro.vscale.kernel`).
+    ``state_backend`` selects the snapshot representation the verifier
+    walks: ``"array"`` (the default — interned flat slot vectors with
+    the batched expansion kernel, see ``docs/performance.md``) or
+    ``"kernel"`` (the array representation stepped by a compiled
+    per-design function, :mod:`repro.vscale.kernel`).  Consumers that
+    never look at signals — the trace harvest and the architectural
+    outcome enumeration — ignore it and step raw slot tuples through
+    :meth:`state_step` instead.
     """
 
     def __init__(
@@ -289,37 +305,28 @@ class MultiVScale(Design):
             append((frame, intern(tuple(buf))))
         return edges
 
-    def successor_batch(self, states, input_space):
-        """Frame-free frontier expansion; on the kernel backend with
-        numpy available, the whole frontier steps as one
-        ``(n_states, n_slots)`` slot matrix and only the per-choice
-        arbiter-grant slot is patched per successor."""
-        kern = (
-            self.__dict__.get("_kernel") or self.step_kernel
-            if self.state_backend == "kernel"
-            else None
+    def state_step(self) -> StateStep:
+        """The design's frame-free compiled step, for consumers that
+        walk raw slot tuples and never look at signals (the trace
+        harvest and the architectural-outcome enumeration).
+
+        Resets the design and returns the reset state's slot tuple,
+        the compiled ``step_state``/``drained`` pair
+        (:func:`repro.vscale.kernel.build_state_step`), the arbiter
+        grant slot (the only slot that differs between one state's
+        successors) and its value per :meth:`input_space` choice.
+        A final state reads back through :meth:`read_slots`."""
+        from repro.vscale.kernel import build_state_step
+
+        self.reset()
+        step_state, drained = build_state_step(self)
+        return StateStep(
+            start=self.state_vector(self.snapshot()),
+            step_state=step_state,
+            drained=drained,
+            grant_slot=self._arb_base,
+            selects=self._select_values(self.input_space()),
         )
-        if kern is None or not kern.matrix_ready(len(states)):
-            return super().successor_batch(states, input_space)
-        np = kern.np
-        interner = self._interner
-        mat = np.array(
-            [interner.state(s) for s in states], dtype=np.int64
-        )
-        out = kern.step_matrix(mat)
-        self.kernel_batched_steps += 1
-        self.batch_expansions += len(states)
-        self.slots_copied += int(out.size)
-        cur_slot = self._arb_base
-        selects = self._select_values(input_space)
-        results = []
-        for row in out.tolist():
-            successors = []
-            for select in selects:
-                row[cur_slot] = select
-                successors.append(interner.intern(tuple(row)))
-            results.append(successors)
-        return results
 
     def build_step_kernel(self):
         from repro.vscale.kernel import build_multi_vscale_kernel

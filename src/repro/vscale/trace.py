@@ -10,7 +10,7 @@ for the per-execution consistency checker.  Per test the cost is
 long-program fuzzing feasible.
 
 Sampling runs on the design's frame-free compiled step
-(:func:`repro.vscale.kernel.build_state_step`), whatever state backend
+(:meth:`~repro.vscale.soc.MultiVScale.state_step`), whatever state backend
 the rest of the campaign uses.  Schedules progress in a *wavefront* of
 raw slot tuples, grouped by state, so each distinct state pays one
 ``step_state`` call per cycle no matter how many schedules currently
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.litmus.test import LitmusTest, compile_test
 from repro.memodel.polycheck import Trace
-from repro.vscale.kernel import build_state_step
 from repro.vscale.soc import MultiVScale
 
 #: Schedules sampled per test by default (the trace oracle's ``k``).
@@ -82,12 +81,10 @@ def harvest_traces(
     (``Harvest.grant_ngrams``); the grants drawn are identical either
     way, so collection cannot perturb the sampled outcomes."""
     design = MultiVScale(compile_test(test), memory_variant)
-    step_state, drained = build_state_step(design)
-    start = design.state_vector(design.snapshot())
-    input_space = design.input_space()
-    choices = len(input_space)
-    selects = design._select_values(input_space)
-    grant_slot = design._arb_base
+    step = design.state_step()
+    step_state, drained = step.step_state, step.drained
+    start, grant_slot, selects = step.start, step.grant_slot, step.selects
+    choices = len(selects)
 
     rngs = [
         random.Random(f"harvest:{seed}:{test.name}:{i}") for i in range(samples)

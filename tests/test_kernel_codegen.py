@@ -7,8 +7,8 @@ in-flight memory transaction) and the buggy memory's write-capture
 slots.  Hypothesis drives randomly generated litmus programs through
 random arbiter schedules on the kernel and array backends in lockstep
 and requires the same frames, the same successor slot vectors, and the
-same quiescence verdicts at every cycle, for both the scalar kernel
-and the numpy matrix path.
+same quiescence verdicts at every cycle; the frame-free compiled step
+is checked against the interpreter the same way.
 """
 
 import os
@@ -23,10 +23,17 @@ import repro
 from repro import get_test
 from repro.difftest.generate import FuzzGenerator
 from repro.litmus import compile_test
-from repro.rtl.design import _keep_all
-from repro.rtl.kernel import MATRIX_MIN_ROWS
 from repro.sva import AssumptionChecker
 from repro.vscale.soc import MultiVScale
+
+def _keep_all(frame, repeats):
+    return True
+
+
+def _restored_drained(design, state):
+    design.restore(state)
+    return design.drained()
+
 
 #: One deterministic generator: ``test_at(i)`` is a pure function of
 #: ``(seed, i)``, so hypothesis shrinks over a stable test stream.
@@ -68,8 +75,8 @@ class TestScalarKernel:
                 assert kernel.state_vector(k_child) == array.state_vector(
                     a_child
                 )
-            assert kernel.state_drained(k_state) == array.state_drained(
-                a_state
+            assert _restored_drained(kernel, k_state) == _restored_drained(
+                array, a_state
             )
             pick = select % len(k_edges)
             k_state = k_edges[pick][1]
@@ -127,71 +134,6 @@ class TestScalarKernel:
             first = 0
 
 
-class TestMatrixKernel:
-    @given(
-        index=st.integers(0, 150),
-        layers=st.integers(1, 4),
-        variant=st.sampled_from(["fixed", "buggy"]),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_matrix_path_matches_scalar(self, index, layers, variant):
-        """BFS frontiers large enough to engage the numpy path produce
-        the same successors as the per-state scalar batch."""
-        kernel, array = _designs(index, variant)
-        pytest.importorskip("numpy")
-        if kernel.step_kernel.step_matrix is None:
-            pytest.skip("matrix kernel unavailable for this design")
-        inputs = kernel.input_space()
-        frontier = [kernel.snapshot()]
-        seen = set(frontier)
-        for _ in range(layers):
-            batches = kernel.successor_batch(frontier, inputs)
-            scalar = [
-                [edge[1] for edge in kernel.step_batch(s, inputs, _keep_all)]
-                for s in frontier
-            ]
-            assert batches == scalar
-            nxt = []
-            for succ in batches:
-                for child in succ:
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-            if not nxt:
-                break
-            frontier = nxt
-
-    def test_matrix_drained_matches_scalar(self):
-        """``drained_matrix`` agrees with the scalar predicate over a
-        frontier wide enough to engage the matrix path."""
-        np = pytest.importorskip("numpy")
-        compiled = compile_test(get_test("iwp24"))
-        kernel = MultiVScale(compiled, "fixed", state_backend="kernel")
-        kern = kernel.step_kernel
-        if kern.drained_matrix is None:
-            pytest.skip("matrix kernel unavailable")
-        kernel.reset()
-        inputs = kernel.input_space()
-        frontier = [kernel.snapshot()]
-        seen = set(frontier)
-        while len(frontier) < MATRIX_MIN_ROWS:
-            nxt = []
-            for succ in kernel.successor_batch(frontier, inputs):
-                for child in succ:
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-            if not nxt:
-                break
-            frontier = nxt
-        mat = np.array(
-            [kernel.state_vector(s) for s in frontier], dtype=np.int64
-        )
-        matrix_verdicts = list(kern.drained_matrix(mat))
-        scalar_verdicts = [kernel.state_drained(s) for s in frontier]
-        assert [bool(v) for v in matrix_verdicts] == scalar_verdicts
-
-
 class TestSentinelSlots:
     def test_none_sentinels_round_trip(self):
         """States with no pending writeback/memory transaction encode
@@ -244,27 +186,30 @@ class TestLayoutSharedCode:
         # quiescence against the interpreter.
         for design, (step_state, drained) in zip((mp, iriw), steps):
             inputs = design.input_space()
+            grant_slot = design.state_step().grant_slot
             state = design.snapshot()
             vec = design.state_vector(state)
             for cycle in range(200):
-                assert drained(vec) == design.state_drained(state)
+                assert drained(vec) == _restored_drained(design, state)
                 if drained(vec):
                     break
                 grant = cycle % len(inputs)
                 state = design.step_batch(state, inputs, _keep_all)[grant][1]
                 buf = step_state(vec)
-                buf[design._arb_base] = grant
+                buf[grant_slot] = grant
                 vec = tuple(buf)
                 assert vec == design.state_vector(state)
             else:
                 pytest.fail("schedule did not drain")
 
     def test_build_state_step_leaves_numpy_unimported(self):
-        """The harvest path never imports numpy (a fresh interpreter,
-        so no other test's import can mask it)."""
+        """No compiled step path — the harvest, the outcome enumeration,
+        the kernel backend — imports numpy (a fresh interpreter, so no
+        other test's import can mask it)."""
         script = (
             "import sys\n"
             "from repro import get_test\n"
+            "from repro.difftest.oracles import rtl_verdicts\n"
             "from repro.litmus import compile_test\n"
             "from repro.vscale.kernel import build_state_step\n"
             "from repro.vscale.soc import MultiVScale\n"
@@ -272,6 +217,8 @@ class TestLayoutSharedCode:
             "assert 'numpy' not in sys.modules\n"
             "build_state_step(MultiVScale(compile_test(get_test('mp'))))\n"
             "harvest_traces(get_test('sb'), 'buggy')\n"
+            "rtl_verdicts(get_test('sb'), 'buggy')\n"
+            "MultiVScale(compile_test(get_test('mp')), state_backend='kernel')\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         )
         env = dict(os.environ)

@@ -4,11 +4,13 @@ The kernel backend (``repro.rtl.kernel`` / ``repro.vscale.kernel``)
 keeps the array backend's interned flat slot vectors but steps them
 with a per-design *compiled* function — closure-compiled straight-line
 Python generated from the design's slot layout, plus a fused compiled
-assumption check and an optional numpy whole-frontier matrix path.  It
-is a pure execution-strategy change: verdicts, reach graphs, simulated
-traces, VCD waveforms, architectural enumerations, and fuzz reports
-must be bit-identical to the interpreted array backend.  These tests prove
-that contract end to end.
+assumption check.  It is a pure execution-strategy change: verdicts,
+reach graphs, simulated traces, VCD waveforms, and fuzz reports must be
+bit-identical to the interpreted array backend.  These tests prove that
+contract end to end.  (The architectural enumeration and the trace
+harvest run on the frame-free compiled step whatever the backend;
+``tests/test_rtl_enumeration.py`` and ``tests/test_trace_harvest.py``
+check them against interpreter references.)
 
 Normalization: wall-clock fields (``*seconds``), the vector-backend
 ``state.*`` counters, and the kernel-only ``kernel.*`` counters are
@@ -30,7 +32,6 @@ from repro.litmus import compile_test
 from repro.mapping import MultiVScaleProgramMapping
 from repro.rtl.vcd import render_vcd
 from repro.sva import AssumptionChecker
-from repro.verifier.outcomes import enumerate_design_outcomes
 from repro.verifier.reach import ReachGraph
 from repro.verifier.simulation import simulate_check
 from repro.vscale.soc import MultiVScale
@@ -134,25 +135,6 @@ class TestVerdictEquivalence:
         assert len(traces["kernel"]) == len(traces["array"])
         for kernel_trace, array_trace in zip(traces["kernel"], traces["array"]):
             assert render_vcd(kernel_trace) == render_vcd(array_trace)
-
-    def test_outcome_enumeration_agrees(self):
-        """The architectural enumeration behind difftest's RTL oracle —
-        on the kernel backend this is the numpy whole-frontier matrix
-        walk plus the compiled drained predicate."""
-        for variant in VARIANTS:
-            compiled = compile_test(get_test("sb"))
-            enums = {
-                backend: enumerate_design_outcomes(
-                    MultiVScale(compiled, variant, state_backend=backend)
-                )
-                for backend in BACKENDS
-            }
-            kernel, array = (enums[b] for b in BACKENDS)
-            assert kernel.outcomes == array.outcomes, variant
-            assert kernel.complete == array.complete
-            assert kernel.states == array.states
-            assert kernel.transitions == array.transitions
-            assert kernel.drained_states == array.drained_states
 
 
 class TestGraphStructure:

@@ -4,8 +4,8 @@ The array backend (flat interned slot vectors + batched frontier
 expansion, ``repro.rtl.design``) must reproduce the verdicts pinned in
 ``tests/fixtures/golden_verdicts.json`` — captured when a nested-tuple
 snapshot backend still existed as the reference — and build graphs,
-counterexample traces, VCD waveforms, and outcome enumerations
-identical to the compiled-kernel backend.  These tests also pin the
+counterexample traces, and VCD waveforms identical to the
+compiled-kernel backend.  These tests also pin the
 representation-level wins the backend exists for (hash-consing,
 compact pickles, snapshot/restore round-trips, an injective flat
 encoding).
@@ -31,7 +31,6 @@ from repro.mapping import MultiVScaleProgramMapping
 from repro.rtl.design import StateInterner
 from repro.rtl.vcd import render_vcd
 from repro.sva import AssumptionChecker
-from repro.verifier.outcomes import enumerate_design_outcomes
 from repro.verifier.reach import ReachGraph
 from repro.vscale.soc import MultiVScale
 
@@ -114,23 +113,6 @@ class TestVerdictEquivalence:
         assert len(traces["array"]) == len(traces["kernel"])
         for array_trace, kernel_trace in zip(traces["array"], traces["kernel"]):
             assert render_vcd(array_trace) == render_vcd(kernel_trace)
-
-    def test_outcome_enumeration_agrees(self):
-        """The architectural enumeration behind difftest's RTL oracle
-        finds the same outcomes, states, and transition counts."""
-        for variant in VARIANTS:
-            compiled = compile_test(get_test("sb"))
-            array = enumerate_design_outcomes(
-                MultiVScale(compiled, variant, state_backend="array")
-            )
-            kernel = enumerate_design_outcomes(
-                MultiVScale(compiled, variant, state_backend="kernel")
-            )
-            assert array.outcomes == kernel.outcomes, variant
-            assert array.complete == kernel.complete
-            assert array.states == kernel.states
-            assert array.transitions == kernel.transitions
-            assert array.drained_states == kernel.drained_states
 
 
 class TestGraphStructure:

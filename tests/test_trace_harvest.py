@@ -86,7 +86,8 @@ def reference_harvest(
 
     def is_drained(state: Hashable) -> bool:
         if state not in drained_memo:
-            drained_memo[state] = design.state_drained(state)
+            design.restore(state)
+            drained_memo[state] = design.drained()
         return drained_memo[state]
 
     cycles = 0

@@ -3,8 +3,8 @@
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
 property walks, random-schedule simulation, difftest oracle
-throughput, paper-suite construction, and the trace oracle's
-harvest — and writes
+throughput, paper-suite construction, the trace oracle's harvest, and
+the RTL oracle's outcome enumeration — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -72,6 +72,10 @@ POLYCHECK_LONG_THREAD_OPS = 16
 #: start of the ``fuzz --long-programs`` campaign at seed 0.
 TRACE_HARVEST_SEED = 0
 TRACE_HARVEST_TESTS = 40
+#: ``FuzzGenerator(seed, 4).suite(count)``: the programs the ``fuzz``
+#: benchmark workload enumerates.
+RTL_ENUMERATION_SEED = 0
+RTL_ENUMERATION_TESTS = 20
 
 
 def _calibration_workload() -> int:
@@ -314,6 +318,25 @@ def _bench_trace_harvest() -> None:
         harvest_traces(test, "fixed")
 
 
+@functools.lru_cache(maxsize=None)
+def _rtl_enumeration_tests():
+    from repro.difftest.generate import FuzzGenerator
+
+    generator = FuzzGenerator(RTL_ENUMERATION_SEED, 4)
+    return tuple(generator.suite(RTL_ENUMERATION_TESTS))
+
+
+def _bench_rtl_enumeration() -> None:
+    """The RTL oracle's exhaustive outcome enumeration alone
+    (``rtl_verdicts``, uncached) on the ``fuzz`` workload's programs,
+    fixed memory.  The programs are generated once, by the warm-up
+    run."""
+    from repro.difftest.oracles import rtl_verdicts
+
+    for test in _rtl_enumeration_tests():
+        rtl_verdicts(test, "fixed")
+
+
 METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
     "simulation": _bench_simulation,
@@ -325,6 +348,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "property_walk": _bench_property_walk,
     "suite_build": _bench_suite_build,
     "trace_harvest": _bench_trace_harvest,
+    "rtl_enumeration": _bench_rtl_enumeration,
 }
 
 
