@@ -21,6 +21,31 @@ from repro.vscale.memory import BuggyMemory, FixedMemory, MemoryBase
 from repro.vscale.params import DMEM_LOAD, DMEM_STORE, NUM_CORES
 
 
+#: Per-core frame signal names in :meth:`MultiVScale.eval_comb`'s
+#: insertion order.
+_CORE_SIGNALS = (
+    "PC_IF",
+    "PC_DX",
+    "PC_WB",
+    "stall_IF",
+    "stall_DX",
+    "stall_WB",
+    "dmem_type_DX",
+    "dmem_type_WB",
+    "load_data_WB",
+    "store_data_WB",
+    "halted",
+)
+
+#: ``_CORE_KEYS[core_id]``: that core's frame keys, built once so every
+#: frame shares the same key objects instead of concatenating fresh
+#: strings per cycle (a reach graph holds thousands of frames).
+_CORE_KEYS = tuple(
+    tuple(f"core[{core_id}].{name}" for name in _CORE_SIGNALS)
+    for core_id in range(NUM_CORES)
+)
+
+
 class StateStep(NamedTuple):
     """What :meth:`MultiVScale.state_step` returns."""
 
@@ -77,6 +102,8 @@ class MultiVScale(Design):
         else:
             raise RtlError(f"unknown memory variant {memory_variant!r}")
         self.data_words = sorted(compiled.initial_data_memory)
+        #: ``(word, frame key)`` per data word, keys shared by every frame.
+        self._mem_keys = tuple((word, f"mem[{word}]") for word in self.data_words)
         self._pending_tick = None
         self.reset()
         if state_backend == "array":
@@ -131,28 +158,31 @@ class MultiVScale(Design):
         frame: Frame = {}
         for core_id, core in enumerate(self.cores):
             view = views[core_id]
-            prefix = f"core[{core_id}]."
-            frame[prefix + "PC_IF"] = core.pc_if
-            frame[prefix + "PC_DX"] = view.pc if view.valid else 0
-            frame[prefix + "PC_WB"] = core.wb_pc if core.wb_valid else 0
-            frame[prefix + "stall_IF"] = int(stall_dx[core_id] or core.fetch_stop)
-            frame[prefix + "stall_DX"] = int(stall_dx[core_id])
-            frame[prefix + "stall_WB"] = 0
-            frame[prefix + "dmem_type_DX"] = view.wb_type if view.valid else 0
-            frame[prefix + "dmem_type_WB"] = core.wb_type
+            (
+                k_pc_if, k_pc_dx, k_pc_wb, k_stall_if, k_stall_dx, k_stall_wb,
+                k_type_dx, k_type_wb, k_load_data, k_store_data, k_halted,
+            ) = _CORE_KEYS[core_id]
+            frame[k_pc_if] = core.pc_if
+            frame[k_pc_dx] = view.pc if view.valid else 0
+            frame[k_pc_wb] = core.wb_pc if core.wb_valid else 0
+            frame[k_stall_if] = int(stall_dx[core_id] or core.fetch_stop)
+            frame[k_stall_dx] = int(stall_dx[core_id])
+            frame[k_stall_wb] = 0
+            frame[k_type_dx] = view.wb_type if view.valid else 0
+            frame[k_type_wb] = core.wb_type
             is_load_data_phase = (
                 pending is not None
                 and pending[0] == core_id
                 and pending[1] == DMEM_LOAD
                 and core.wb_type == DMEM_LOAD
             )
-            frame[prefix + "load_data_WB"] = load_out if is_load_data_phase else 0
-            frame[prefix + "store_data_WB"] = core.wb_store_data
-            frame[prefix + "halted"] = int(core.halted)
+            frame[k_load_data] = load_out if is_load_data_phase else 0
+            frame[k_store_data] = core.wb_store_data
+            frame[k_halted] = int(core.halted)
         frame["arbiter.cur_core"] = self.arbiter.cur_core
         frame["arbiter.prev_core"] = self.arbiter.prev_core
-        for word in self.data_words:
-            frame[f"mem[{word}]"] = self.memory.read_word(word)
+        for word, key in self._mem_keys:
+            frame[key] = self.memory.read_word(word)
         if isinstance(self.memory, BuggyMemory):
             frame["mem.wvalid"] = self.memory.wvalid
             frame["mem.waddr"] = self.memory.waddr

@@ -161,6 +161,29 @@ class TestGraphStructure:
             assert revived.design._interner.state(revived.snap(node))
 
 
+class TestFrameKeys:
+    """Frames of one design share their key objects: a reach graph
+    holds one frame dict per live edge, so per-frame key strings would
+    dominate its memory and its pickle."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_frames_from_different_states_share_key_objects(self, variant):
+        design = MultiVScale(compile_test(get_test("mp")), variant)
+        design.reset()
+        frames, states = [], []
+        for select in (0, 1, 1, 0):
+            states.append(design.snapshot())
+            frames.append(design.eval_comb({"arb_select": select}))
+            design.tick()
+        assert len(set(states)) == len(states)
+        reference = frames[0]
+        assert any("mem[" in key for key in reference)
+        for frame in frames[1:]:
+            assert frame != reference
+            assert list(frame) == list(reference)
+            assert all(a is b for a, b in zip(frame, reference))
+
+
 class TestSnapshotRestore:
     """Round-trip and injectivity of the flat encoding."""
 
