@@ -73,7 +73,6 @@ import sys
 from repro import CONFIGS, RTLCheck, get_test, paper_suite
 from repro.litmus import compile_test
 from repro.memodel import sc_allowed
-from repro.rtl.design import STATE_BACKENDS
 from repro.uhb import microarch_observable
 from repro.uspec import multi_vscale_model
 from repro.verifier.config import DEFAULT_SUITE_JOBS
@@ -115,14 +114,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=sorted(CONFIGS),
         default="Full_Proof",
         help="verifier engine configuration (default: Full_Proof)",
-    )
-    parser.add_argument(
-        "--state-backend",
-        choices=list(STATE_BACKENDS),
-        default="array",
-        help="design snapshot representation: interned flat slot "
-        "vectors with batched expansion (default), or compiled "
-        "per-design step kernels over the same vectors ('kernel')",
     )
     parser.add_argument(
         "--report",
@@ -330,15 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coverage database to merge the campaign into (default: "
         "<cache root>/coverage/coverage.json when caching is on)",
     )
-    fuzz.add_argument(
-        "--state-backend",
-        choices=list(STATE_BACKENDS),
-        default="array",
-        help="design snapshot representation for the rtl and verifier "
-        "oracles only; the trace oracle always harvests on the "
-        "compiled step (backends are verdict-equivalent; reports are "
-        "byte-identical across them)",
-    )
     _add_cache_flags(fuzz)
 
     cache = sub.add_parser(
@@ -517,13 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for sub_parser in (submit_suite, submit_verify, submit_fuzz):
         sub_parser.add_argument(
-            "--state-backend",
-            choices=list(STATE_BACKENDS),
-            default="array",
-            help="design snapshot representation (verdict-equivalent; "
-            "part of the job key)",
-        )
-        sub_parser.add_argument(
             "--host", default="127.0.0.1", help="job server address"
         )
         sub_parser.add_argument(
@@ -683,7 +658,6 @@ def cmd_verify(args) -> int:
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
-        state_backend=args.state_backend,
     )
     result = rtlcheck.verify_test(
         get_test(args.test),
@@ -729,7 +703,6 @@ def cmd_suite(args) -> int:
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
-        state_backend=args.state_backend,
     )
     tests = paper_suite()
     if args.only:
@@ -806,7 +779,6 @@ def cmd_fuzz(args) -> int:
         coverage=coverage,
         guided=args.guided,
         coverage_db=args.coverage_db,
-        state_backend=args.state_backend,
     )
     total = config.budget
     done = [0]
@@ -1076,7 +1048,6 @@ def cmd_submit(args) -> int:
                 "oracles": list(args.oracles),
                 "memory_variant": args.memory,
                 "long_programs": args.long_programs,
-                "state_backend": args.state_backend,
                 "jobs": args.jobs,
             },
         }
@@ -1084,7 +1055,6 @@ def cmd_submit(args) -> int:
         params = {
             "memory_variant": args.memory,
             "config": args.config,
-            "state_backend": args.state_backend,
             "observe": args.observe,
         }
         if args.job_kind == "verify":

@@ -172,17 +172,9 @@ def verdict_key(
     node_mapping_factory,
     program_mapping_factory,
     skip_cover_shortcut: bool,
-    state_backend: str = "array",
 ) -> str:
     """Key of one :class:`TestVerification` — the full input closure of
-    :meth:`RTLCheck.verify_test`.
-
-    ``state_backend`` is keyed even though the backends produce
-    identical verdicts by contract: their obs counters differ
-    (``state.*`` exists only on the vector backends, ``kernel.*`` only
-    under ``kernel``), and an entry must replay exactly what its
-    backend would compute.
-    """
+    :meth:`RTLCheck.verify_test`."""
     return digest_payload(
         {
             "tier": "verdict",
@@ -196,7 +188,6 @@ def verdict_key(
             "node_mapping": qualname(node_mapping_factory),
             "program_mapping": qualname(program_mapping_factory),
             "skip_cover_shortcut": bool(skip_cover_shortcut),
-            "state_backend": state_backend,
         }
     )
 
@@ -207,16 +198,13 @@ def reach_key(
     memory_variant: str,
     design_factory,
     program_mapping_factory,
-    state_backend: str = "array",
 ) -> str:
     """Key of one shared :class:`~repro.verifier.reach.ReachGraph`.
 
     Deliberately independent of the µspec model and engine
     configuration: the assumption-constrained design transition relation
     is the same for every axiom set and Table-1 row, so one graph serves
-    them all.  ``state_backend`` *is* keyed: a pickled graph carries its
-    design, whose backend (and, on ``kernel``, compile counters) the
-    replaying run inherits."""
+    them all."""
     return digest_payload(
         {
             "tier": "reach",
@@ -226,7 +214,6 @@ def reach_key(
             "memory_variant": memory_variant,
             "design_factory": qualname(design_factory),
             "program_mapping": qualname(program_mapping_factory),
-            "state_backend": state_backend,
         }
     )
 

@@ -39,7 +39,6 @@ from repro.errors import ReproError
 from repro.litmus.test import CompiledTest, LitmusTest, compile_test
 from repro.mapping.node_mapping import MultiVScaleNodeMapping
 from repro.mapping.program_mapping import MultiVScaleProgramMapping
-from repro.rtl.design import STATE_BACKENDS
 from repro.sva.ast import Directive
 from repro.sva.emit import emit_sva_file
 from repro.sva.monitor import AssumptionChecker, PropertyMonitor, walk_atoms
@@ -119,13 +118,7 @@ class RTLCheck:
         observe: bool = False,
         coverage: bool = False,
         cache=None,
-        state_backend: str = "array",
     ):
-        if state_backend not in STATE_BACKENDS:
-            raise ReproError(
-                f"unknown state backend {state_backend!r}; "
-                "choose 'array' or 'kernel'"
-            )
         self.model = model or multi_vscale_model()
         self.config = config
         self.design_factory = design_factory or _multi_vscale_design_factory
@@ -136,12 +129,6 @@ class RTLCheck:
         #: (:mod:`repro.obs.coverage`) and attach them to ``result.obs``
         #: — with or without full observability.
         self.coverage = coverage
-        #: Snapshot representation applied to factory-built designs:
-        #: ``"array"`` (interned flat vectors + batched expansion — the
-        #: default) or ``"kernel"`` (the same vectors stepped by
-        #: compiled code).  Designs without a slot layout keep their own
-        #: snapshots regardless (``docs/performance.md``).
-        self.state_backend = state_backend
         #: Optional :class:`repro.cache.VerificationCache`.  When set,
         #: verdicts, reach graphs, and compiled monitors are memoized on
         #: disk, keyed by the full verification input set (see
@@ -187,7 +174,6 @@ class RTLCheck:
             node_mapping_factory=self.node_mapping_factory,
             program_mapping_factory=self.program_mapping_factory,
             skip_cover_shortcut=skip_cover_shortcut,
-            state_backend=self.state_backend,
         )
 
     # ------------------------------------------------------------------
@@ -298,7 +284,7 @@ class RTLCheck:
         ) as wall:
             generated = self.generate(test)
             design = self.design_factory(generated.compiled, memory_variant)
-            self._apply_state_backend(design)
+            self._bind_slot_layout(design)
             checker = AssumptionChecker(generated.assumptions)
             # The design's assumption-constrained state space is
             # explored once into a shared graph; the cover run and every
@@ -315,7 +301,6 @@ class RTLCheck:
                     memory_variant=memory_variant,
                     design_factory=self.design_factory,
                     program_mapping_factory=self.program_mapping_factory,
-                    state_backend=self.state_backend,
                 )
                 graph = self.cache.load_graph(reach_key)
                 if graph is not None:
@@ -426,22 +411,14 @@ class RTLCheck:
                 self.cache.store_graph(reach_key, graph)
         return result
 
-    def _apply_state_backend(self, design) -> None:
-        """Put a factory-built design on the configured state backend.
-
-        Requesting either backend on a design without a slot layout
-        (for example Multi-V-scale-TSO, whose store buffers are
-        variable-size) is a silent no-op: the design keeps its own
-        snapshots and expands through the generic ``step_batch``.
-        Requesting ``"kernel"`` on a design without a compiled step
-        path degrades gracefully to ``array``
-        (:meth:`~repro.rtl.design.Design.enable_kernel_state`).
-        """
-        backend = getattr(design, "state_backend", None)
-        if self.state_backend == "kernel":
-            if backend != "kernel" and hasattr(design, "enable_kernel_state"):
-                design.enable_kernel_state()
-        elif backend != "array" and hasattr(design, "enable_array_state"):
+    @staticmethod
+    def _bind_slot_layout(design) -> None:
+        """Snapshot a factory-built design to interned slot vectors when
+        it declares a slot layout.  A design without one (for example
+        Multi-V-scale-TSO, whose store buffers are variable-size) keeps
+        its own snapshots and expands through the generic
+        ``step_batch``."""
+        if not getattr(design, "slot_layout_bound", True):
             design.enable_array_state()
 
     def _monitor(self, directive: Directive) -> PropertyMonitor:
@@ -509,18 +486,14 @@ class RTLCheck:
         # The explorer simulates exclusively through the graph's design
         # (a warm-loaded graph carries its own).
         design = graph.design
-        backend = getattr(design, "state_backend", None)
-        if recorder is not None and recorder.enabled and backend in STATE_BACKENDS:
+        if (
+            recorder is not None
+            and recorder.enabled
+            and getattr(design, "slot_layout_bound", False)
+        ):
             recorder.count("state.states_interned", design.states_interned)
             recorder.count("state.batch_expansions", design.batch_expansions)
             recorder.count("state.slots_copied", design.slots_copied)
-            if backend == "kernel":
-                recorder.count(
-                    "kernel.batched_steps", design.kernel_batched_steps
-                )
-                recorder.count(
-                    "kernel.compile_seconds", design.kernel_compile_seconds
-                )
         result.graph_build_seconds = graph.build_seconds
         result.graph_states = graph.num_nodes
         result.graph_transitions = graph.sim_transitions

@@ -237,7 +237,7 @@ def rtl_verdicts(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ArchEnumeration:
     """Exhaustive (budgeted) architectural enumeration of the design, on
-    its frame-free compiled step whatever the campaign's state backend."""
+    its frame-free compiled step."""
     check_wellformed(test)
 
     def body():
@@ -305,11 +305,9 @@ def verifier_verdicts(
     test: LitmusTest,
     memory_variant: str = "fixed",
     rtlcheck=None,
-    state_backend: str = "array",
 ):
     """Run the full RTLCheck flow; returns its
-    :class:`~repro.core.results.TestVerification`.  ``state_backend``
-    applies only when no pre-built ``rtlcheck`` is handed in."""
+    :class:`~repro.core.results.TestVerification`."""
     check_wellformed(test)
 
     def body():
@@ -317,7 +315,7 @@ def verifier_verdicts(
         if checker is None:
             from repro.core.rtlcheck import RTLCheck
 
-            checker = RTLCheck(state_backend=state_backend)
+            checker = RTLCheck()
         return checker.verify_test(test, memory_variant)
 
     return _guard(test, "verifier", body)
@@ -332,7 +330,6 @@ def evaluate_oracles(
     cache=None,
     trace_samples: int = DEFAULT_TRACE_SAMPLES,
     trace_seed: int = 0,
-    state_backend: str = "array",
 ) -> TestVerdicts:
     """Run the selected oracle layers on ``test``.
 
@@ -351,9 +348,8 @@ def evaluate_oracles(
     same observability counters the cold computation records, so a
     cached fuzz campaign's report aggregates match an uncached one's.
 
-    ``state_backend`` selects the design backend of the verifier
-    layer; the rtl and trace layers always run on the compiled
-    frame-free step (:func:`repro.verifier.outcomes.enumerate_design_outcomes`,
+    The rtl and trace layers run on the compiled frame-free step
+    (:func:`repro.verifier.outcomes.enumerate_design_outcomes`,
     :func:`repro.vscale.trace.harvest_traces`).
     """
     check_wellformed(test)
@@ -488,11 +484,8 @@ def evaluate_oracles(
                         cache=cache,
                         observe=recorder.enabled,
                         coverage=coverage is not None,
-                        state_backend=state_backend,
                     )
-                result = verifier_verdicts(
-                    test, memory_variant, checker, state_backend=state_backend
-                )
+                result = verifier_verdicts(test, memory_variant, checker)
                 if result.obs and (recorder.enabled or coverage is not None):
                     recorder.merge_state(result.obs)
                 verdicts.verifier_bug_found = result.bug_found

@@ -70,10 +70,8 @@ def fuzz_report(result) -> Dict[str, Any]:
         "verdict_tally": dict(result.verdict_tally),
         "counters": dict(result.counters),
         "wall_seconds": result.wall_seconds,
-        # Additive (validators tolerate extra keys): the design state
-        # backend the campaign ran on, cache statistics, and
-        # checkpoint-resume bookkeeping for cached campaigns.
-        "state_backend": config.state_backend,
+        # Additive (validators tolerate extra keys): cache statistics
+        # and checkpoint-resume bookkeeping for cached campaigns.
         "cache": dict(result.cache_stats),
         "resumed": result.resumed,
         **_coverage_section(result),

@@ -35,7 +35,6 @@ from repro.difftest.shrink import (
 )
 from repro.errors import ReproError
 from repro.litmus.test import LitmusTest
-from repro.rtl.design import STATE_BACKENDS
 from repro.verifier.outcomes import DEFAULT_MAX_STATES
 
 
@@ -82,13 +81,6 @@ class FuzzConfig:
     #: directory's ``coverage/coverage.json`` when a cache is attached;
     #: without either, the campaign map is not persisted.
     coverage_db: Optional[str] = None
-    #: Design snapshot representation the rtl and verifier oracles use
-    #: (``"array"`` or ``"kernel"``); the trace oracle always harvests
-    #: on the compiled frame-free step.  Backends are
-    #: verdict-equivalent by contract, so reports are byte-identical
-    #: across them; the knob exists for performance and for the
-    #: kernel-equivalence regression suite.
-    state_backend: str = "array"
     #: In-parent retries after a worker crash before the test is
     #: recorded under the ``crashed`` contract.  Execution policy like
     #: ``jobs`` — never part of the campaign key, and 0 (the default)
@@ -128,11 +120,6 @@ class FuzzConfig:
             raise ReproError(
                 "guided scheduling requires coverage collection "
                 "(pass coverage=True / --coverage)"
-            )
-        if self.state_backend not in STATE_BACKENDS:
-            raise ReproError(
-                f"unknown state backend {self.state_backend!r}; "
-                "choose 'array' or 'kernel'"
             )
 
 
@@ -226,7 +213,6 @@ def _fuzz_worker(
     trace_samples=DEFAULT_TRACE_SAMPLES,
     trace_seed=0,
     coverage=False,
-    state_backend="array",
 ):
     """Module-level task body for the fuzz process pool: evaluate one
     test, cross-check, and ship everything picklable back (including
@@ -267,7 +253,6 @@ def _fuzz_worker(
                     cache=cache,
                     trace_samples=trace_samples,
                     trace_seed=trace_seed,
-                    state_backend=state_backend,
                 )
         else:
             verdicts = evaluate_oracles(
@@ -278,7 +263,6 @@ def _fuzz_worker(
                 cache=cache,
                 trace_samples=trace_samples,
                 trace_seed=trace_seed,
-                state_backend=state_backend,
             )
     except ReproError as exc:
         return {
@@ -595,8 +579,6 @@ def run_fuzz(
             campaign_payload["coverage"] = True
         if config.guided:
             campaign_payload["guided"] = True
-        if config.state_backend != "array":
-            campaign_payload["state_backend"] = config.state_backend
         campaign = cache_keys.campaign_key("fuzz", campaign_payload)
         manifest = cache.checkpoint(campaign, total=config.budget)
         result.resumed = manifest.resumed
@@ -636,7 +618,6 @@ def run_fuzz(
             config.trace_samples,
             config.seed,
             config.coverage,
-            config.state_backend,
         )
 
     obs_states: List[Dict] = []
@@ -735,7 +716,6 @@ def _shrink_entries(config: FuzzConfig, result: FuzzResult) -> None:
             max_states=config.max_states,
             trace_samples=config.trace_samples,
             trace_seed=config.seed,
-            state_backend=config.state_backend,
         )
         try:
             minimized, stats = shrink_test(

@@ -37,18 +37,13 @@ def discrepancy_predicate(
     rtlcheck=None,
     trace_samples: Optional[int] = None,
     trace_seed: int = 0,
-    state_backend: str = "array",
 ) -> Predicate:
     """Build the "does this oracle pair still disagree?" test for one
     discrepancy kind.  Candidates that any involved oracle rejects with
     :class:`ReproError` are treated as non-reproducing (``False``).
 
     ``trace_samples``/``trace_seed`` parameterize the trace-oracle
-    kinds so the shrinker replays exactly the campaign's sampling;
-    ``state_backend`` keeps the verifier replays on the campaign's
-    design backend (verdict-equivalent, so minimizations are too); rtl
-    and trace replays run as the campaign's did, on the compiled
-    frame-free step.
+    kinds so the shrinker replays exactly the campaign's sampling.
     """
     from repro.difftest.oracles import (
         DEFAULT_TRACE_SAMPLES,
@@ -81,9 +76,7 @@ def discrepancy_predicate(
         rtl = rtl_verdicts(test, memory_variant, max_states=max_states)
         if not rtl.complete or rtl.outcomes != op_set:
             return False
-        result = verifier_verdicts(
-            test, memory_variant, rtlcheck, state_backend=state_backend
-        )
+        result = verifier_verdicts(test, memory_variant, rtlcheck)
         return bool(result.bug_found)
 
     def trace_vs_sc(test: LitmusTest) -> bool:

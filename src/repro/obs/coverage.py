@@ -160,17 +160,15 @@ class CoverageMap:
 def state_signature(design, snap) -> str:
     """A run-stable signature for one design snapshot.
 
-    On the vector backends (array and kernel share one flat-slot
-    representation) the snapshot is an interner id; the signature
-    digests the packed flat slot vector, so equal physical states hash
-    equal across runs — and across those two backends — regardless of
-    interning order.  For a design without a slot layout (or any
-    non-packable vector) the signature digests the snapshot's ``repr``
-    — still deterministic, but a different key space, so campaigns
-    should not mix it with the vector backends.
+    With a slot layout bound the snapshot is an interner id; the
+    signature digests the packed flat slot vector, so equal physical
+    states hash equal across runs regardless of interning order.  For a
+    design without a slot layout (or any non-packable vector) the
+    signature digests the snapshot's ``repr`` — still deterministic,
+    but a different key space, so campaigns should not mix the two.
     """
     data = None
-    if getattr(design, "state_backend", None) in ("array", "kernel"):
+    if getattr(design, "slot_layout_bound", False):
         vector = design.state_vector(snap)
         if vector is not None:
             try:

@@ -15,26 +15,19 @@ Designs also expose :meth:`Design.snapshot` / :meth:`Design.restore`,
 returning hashable states; the property verifier uses these for
 explicit-state exploration with deduplication.
 
-Two state backends implement that protocol (``docs/performance.md``):
-
-* ``array`` — a flat slot vector.  The design declares a static
-  :class:`SlotLayout` once; ``snapshot()`` writes every slot into a
-  reused buffer and hash-conses the resulting tuple through a
-  :class:`StateInterner`, so a snapshot is just a dense integer id and
-  ``restore()`` a bulk slot copy.  Enabled via
-  :meth:`Design.enable_array_state` on designs that provide a layout.
-* ``kernel`` — the array representation plus a compiled per-design
-  step function (:mod:`repro.rtl.kernel`) that maps slot vector to
-  successor slot vector without touching the design object at all.
-  Enabled via :meth:`Design.enable_kernel_state` on designs that
-  implement :meth:`Design.build_step_kernel`; falls back to the array
-  backend otherwise.  Bit-identical to the interpreter by contract.
+A design's state is a flat slot vector (``docs/performance.md``).
+The design declares a static :class:`SlotLayout` once;
+``snapshot()`` writes every slot into a reused buffer and hash-conses
+the resulting tuple through a :class:`StateInterner`, so a snapshot is
+just a dense integer id and ``restore()`` a bulk slot copy.  The
+layout is bound by :meth:`Design.enable_array_state` on designs that
+provide one.
 
 A design that declares no slot layout (Multi-V-scale-TSO, whose store
 buffers are variable-size) overrides ``snapshot``/``restore`` with its
-own hashable states and stays off both backends.
+own hashable states.
 
-On top of either backend, :meth:`Design.step_batch` expands *all* free
+On top of that, :meth:`Design.step_batch` expands *all* free
 input choices of one state in a single call; designs whose settled
 frame does not depend on a free input (Multi-V-scale's arbiter grant)
 override it to share one combinational evaluation across every choice.
@@ -47,7 +40,6 @@ every combination, a simulator picks one per cycle.
 from __future__ import annotations
 
 import itertools
-import time
 from array import array
 from typing import (
     Callable,
@@ -63,10 +55,6 @@ from typing import (
 
 from repro import obs
 from repro.errors import ReproError, RtlError
-
-#: The selectable state backends; both snapshot to interned flat slot
-#: vectors.
-STATE_BACKENDS = ("array", "kernel")
 
 #: A settled cycle's signal values.
 Frame = Dict[str, int]
@@ -197,22 +185,16 @@ FrameHook = Callable[[Frame, int], bool]
 
 class Design:
     """Base class for simulatable designs. Subclasses implement the
-    two-phase protocol plus either a slot layout (the vector backends)
-    or their own ``snapshot``/``restore``."""
+    two-phase protocol plus either a slot layout or their own
+    ``snapshot``/``restore``."""
 
-    #: Active snapshot representation: ``"array"`` (interned flat
-    #: vectors), ``"kernel"`` (interned flat vectors stepped by compiled
-    #: code — see module docstring), or ``None`` before a slot layout is
-    #: bound.
-    state_backend: Optional[str] = None
-    #: Slots moved through the flat buffer (vector backends only).
+    #: Hash-conses slot vectors once a slot layout is bound, else
+    #: ``None`` (see :attr:`slot_layout_bound`).
+    _interner: Optional[StateInterner] = None
+    #: Slots moved through the flat buffer (slot layouts only).
     slots_copied = 0
     #: ``step_batch`` calls that shared one settled evaluation.
     batch_expansions = 0
-    #: Calls that went through the compiled kernel (kernel backend).
-    kernel_batched_steps = 0
-    #: Wall seconds spent compiling the step kernel.
-    kernel_compile_seconds = 0.0
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -241,7 +223,7 @@ class Design:
         self.read_slots(vec)
         self.slots_copied += len(vec)
 
-    # -- array backend (opt-in per design) -----------------------------
+    # -- flat slot vectors (opt-in per design) -------------------------
 
     def slot_layout(self) -> Optional[SlotLayout]:
         """The design's flat-state declaration, or ``None`` when the
@@ -258,10 +240,11 @@ class Design:
         raise NotImplementedError
 
     def enable_array_state(self) -> bool:
-        """Switch to interned flat-vector snapshots; returns False (and
-        keeps the design's own snapshots) when the design declares no
-        slot layout.  Snapshots taken before the switch are meaningless
-        after it, so switch only between explorations."""
+        """Bind the design's slot layout and snapshot to interned flat
+        vectors; returns False (and keeps the design's own snapshots)
+        when the design declares no slot layout.  Snapshots taken
+        before the switch are meaningless after it, so switch only
+        between explorations."""
         layout = self.slot_layout()
         if layout is None:
             return False
@@ -270,76 +253,34 @@ class Design:
         self._slot_buf = [0] * layout.size
         self.slots_copied = 0
         self.batch_expansions = 0
-        self.state_backend = "array"
-        return True
-
-    # -- kernel backend (opt-in per design, see repro.rtl.kernel) ------
-
-    def build_step_kernel(self):
-        """Compile and return this design's
-        :class:`~repro.rtl.kernel.StepKernel`, or ``None`` when the
-        design has no compiled step path.  Called with the slot layout
-        already bound (array backend enabled)."""
-        return None
-
-    def enable_kernel_state(self) -> bool:
-        """Switch to the compiled-kernel backend; returns False when
-        the design supports no kernel.  On False the design is left on
-        the array backend when it declares a slot layout, else on its
-        own snapshots — requesting ``kernel`` never loses the vector
-        representation that is already available."""
-        if not self.enable_array_state():
-            return False
-        start = time.perf_counter()
-        kernel = self.build_step_kernel()
-        if kernel is None:
-            return False
-        self.kernel_compile_seconds = time.perf_counter() - start
-        self.kernel_batched_steps = 0
-        self._kernel = kernel
-        self.state_backend = "kernel"
         return True
 
     @property
-    def step_kernel(self):
-        """The design's compiled kernel, recompiled on demand after
-        unpickling (compiled closures never serialize — see
-        :meth:`__getstate__`)."""
-        kernel = self.__dict__.get("_kernel")
-        if kernel is None and self.state_backend == "kernel":
-            start = time.perf_counter()
-            kernel = self.build_step_kernel()
-            self.kernel_compile_seconds += time.perf_counter() - start
-            self._kernel = kernel
-        return kernel
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_kernel", None)
-        state.pop("_checked_steps", None)
-        return state
+    def slot_layout_bound(self) -> bool:
+        """Whether snapshots are interned slot-vector ids."""
+        return self._interner is not None
 
     @property
     def states_interned(self) -> int:
         """Distinct states the interner holds (0 without a slot layout)."""
-        if self.state_backend not in STATE_BACKENDS:
+        if not self.slot_layout_bound:
             return 0
         return len(self._interner)
 
     def state_vector(self, state: Hashable) -> Optional[Tuple[int, ...]]:
-        """The flat slot vector behind a vector-backend snapshot id, or
-        ``None`` without a slot layout (where snapshots carry their own
+        """The flat slot vector behind a snapshot id, or ``None``
+        without a slot layout (where snapshots carry their own
         structure).  Coverage signatures digest this vector so state
         identity is stable across runs and interning orders."""
-        if self.state_backend in STATE_BACKENDS:
+        if self.slot_layout_bound:
             return self._interner.state(state)
         return None
 
     def intern_vector(self, vec: Sequence[int]) -> Optional[int]:
-        """Intern a raw slot vector (vector backends), or ``None``
-        without a slot layout.  Lets kernel consumers turn stepped
-        vectors back into snapshot ids without a restore."""
-        if self.state_backend in STATE_BACKENDS:
+        """Intern a raw slot vector, or ``None`` without a slot layout.
+        Turns compiled-step vectors back into snapshot ids without a
+        restore."""
+        if self.slot_layout_bound:
             return self._interner.intern(tuple(vec))
         return None
 
@@ -378,15 +319,6 @@ class Design:
             results.append((frame, self.snapshot()))
         return results
 
-    def checked_step_kernel(self, checker):
-        """A fused ``(vec, checker, first, repeats) -> (frame, buf)``
-        step function with ``checker``'s assumption predicates compiled
-        into the kernel's combinational locals, or ``None`` when the
-        design has no compiled path for this checker (kernel-capable
-        subclasses override; ``None`` always falls back to the
-        interpreted :meth:`step_batch_checked`)."""
-        return None
-
     def step_batch_checked(
         self,
         state: Hashable,
@@ -398,9 +330,8 @@ class Design:
         stamp ``first`` into the frame, then let ``checker`` (an
         :class:`~repro.sva.monitor.AssumptionChecker`) accept or prune
         the settled frame.  Counter effects (``antecedent_firings``,
-        ``pruned_frames``) stay in per-input logical units on every
-        backend; kernel-backed designs override this with a fused
-        compiled check that never materializes pruned frames."""
+        ``pruned_frames``) stay in per-input logical units whatever the
+        design batches."""
 
         def hook(frame: Frame, repeats: int) -> bool:
             frame["first"] = first

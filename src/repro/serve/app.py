@@ -358,7 +358,6 @@ class JobServer:
             jobs=params["jobs"],
             long_programs=params["long_programs"],
             trace_samples=params["trace_samples"],
-            state_backend=params["state_backend"],
             cache_dir=self.cache_dir,
             crash_retries=self.retries,
         )

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.rtl.design import STATE_BACKENDS
 
 #: Report kinds re-exported from the central registry in
 #: :mod:`repro.obs.report` (all toolchain-written kinds are
@@ -126,12 +125,6 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         config in CONFIGS,
         f"config must be one of {sorted(CONFIGS)}, got {config!r}",
     )
-    state_backend = _pop_field(params, "state_backend", "array")
-    _require(
-        state_backend in STATE_BACKENDS,
-        f"state_backend must be one of {list(STATE_BACKENDS)}, "
-        f"got {state_backend!r}",
-    )
     observe = _pop_field(params, "observe", False)
     _require(isinstance(observe, bool), "'observe' must be a boolean")
     _require(not params, f"unknown suite job params: {sorted(params)}")
@@ -139,7 +132,6 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "tests": list(tests),
         "memory_variant": memory_variant,
         "config": config,
-        "state_backend": state_backend,
         "observe": observe,
     }
 
@@ -179,12 +171,6 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
         isinstance(trace_samples, int) and trace_samples >= 1,
         "'trace_samples' must be an integer >= 1",
     )
-    state_backend = _pop_field(params, "state_backend", "array")
-    _require(
-        state_backend in STATE_BACKENDS,
-        f"state_backend must be one of {list(STATE_BACKENDS)}, "
-        f"got {state_backend!r}",
-    )
     jobs = _pop_field(params, "jobs", 1)
     _require(
         isinstance(jobs, int) and 1 <= jobs <= MAX_JOB_WORKERS,
@@ -198,7 +184,6 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "memory_variant": memory_variant,
         "long_programs": long_programs,
         "trace_samples": trace_samples,
-        "state_backend": state_backend,
         "jobs": jobs,
     }
 
@@ -212,7 +197,6 @@ def rtlcheck_for(params: Dict[str, Any], cache=None):
         config=CONFIGS[params["config"]],
         observe=params["observe"],
         cache=cache,
-        state_backend=params["state_backend"],
     )
 
 

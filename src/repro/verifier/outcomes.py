@@ -9,9 +9,9 @@ It is a plain breadth-first reachability walk — no assumptions, no
 monitors — that harvests the architectural state of every drained state
 it discovers.  The walk never looks at signals, so it runs on the
 design's frame-free compiled step
-(:meth:`~repro.vscale.soc.MultiVScale.state_step`) whatever state
-backend the design was built with: states are raw slot tuples kept in a
-plain set, each frontier state takes one ``step_state`` call, and its
+(:meth:`~repro.vscale.soc.MultiVScale.state_step`): states are raw
+slot tuples kept in a plain set, each frontier state takes one
+``step_state`` call, and its
 successors are that buffer with the arbiter grant slot patched once per
 input choice (the grant is the only free input and feeds only that
 slot).  A state is *drained* when its architectural results can no

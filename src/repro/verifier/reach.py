@@ -187,14 +187,13 @@ class ReachGraph:
         start = time.perf_counter()
         snapshot, first = self._keys[node]
 
-        # ``sim_transitions`` stays in logical per-input units on every
-        # backend (the engine model prices walks in transitions, and
-        # serialized verdicts must not depend on the state backend);
-        # the *physical* evaluations saved by batching are visible via
-        # the design's ``batch_expansions``/``slots_copied`` counters.
+        # ``sim_transitions`` stays in logical per-input units (the
+        # engine model prices walks in transitions, so serialized
+        # verdicts must not depend on how the design batches); the
+        # *physical* evaluations saved by batching are visible via the
+        # design's ``batch_expansions``/``slots_copied`` counters.
         # ``step_batch_checked`` stamps ``first`` into kept frames and
-        # applies the assumption pruning — on the kernel backend as a
-        # fused compiled check, elsewhere via ``frame_ok_repeated``.
+        # applies the assumption pruning via ``frame_ok_repeated``.
         steps = self.design.step_batch_checked(
             snapshot, self.input_space, self.assumptions, first
         )

@@ -81,75 +81,19 @@ def simulate_check(
     input_space = design.input_space()
     report = SimulationReport()
 
-    # Kernel backend: drive the fused compiled step over raw slot
-    # vectors instead of eval_comb/tick on the design object, and
-    # memoize each distinct (state, first) transition — random
-    # schedules revisit the same few hundred design states thousands
-    # of times, so after the first visit a cycle is a dict lookup plus
-    # the exact counter replay (``fired`` antecedents, one pruned
-    # frame).  Frames appended to traces are fresh copies, the rng
-    # draw sequence is untouched (``choice`` over the index range
-    # consumes the same ``_randbelow`` call as ``choice`` over the
-    # input list), so reports, traces, and monitor verdicts are
-    # identical to the interpreted loop bit for bit.
-    fused = design.checked_step_kernel(checker)
-    root_sid = None
-    kern = None
-    step_cache: Dict = {}
-    indices = range(len(input_space))
-    if fused is not None:
-        kern = design.step_kernel
-        design.reset()
-        root_sid = design.snapshot()
-
     for schedule_index in range(num_schedules):
         trace: List[Frame] = []
-        if fused is not None:
-            sid = root_sid
-            cache_get = step_cache.get
-            for cycle in range(max_cycles):
-                idx = rng.choice(indices)
-                report.cycles_simulated += 1
-                first = 1 if cycle == 0 else 0
-                key = (sid, first)
-                hit = cache_get(key)
-                if hit is None:
-                    fired_before = checker.antecedent_firings
-                    frame, buf = fused(
-                        design.state_vector(sid), checker, first, 1
-                    )
-                    fired = checker.antecedent_firings - fired_before
-                    if frame is None:
-                        step_cache[key] = (None, fired, None)
-                        report.truncated_traces += 1
-                        break
-                    successors = []
-                    for inputs in input_space:
-                        kern.apply_inputs(buf, inputs)
-                        successors.append(design.intern_vector(buf))
-                    step_cache[key] = (frame, fired, successors)
-                else:
-                    frame, fired, successors = hit
-                    checker.antecedent_firings += fired
-                    if frame is None:
-                        checker.pruned_frames += 1
-                        report.truncated_traces += 1
-                        break
-                if monitors:
-                    trace.append(dict(frame))
-                sid = successors[idx]
-        else:
-            design.reset()
-            for cycle in range(max_cycles):
-                inputs = rng.choice(input_space)
-                frame = design.eval_comb(inputs)
-                frame["first"] = 1 if cycle == 0 else 0
-                report.cycles_simulated += 1
-                if not checker.frame_ok(frame):
-                    report.truncated_traces += 1
-                    break
-                design.tick()
-                trace.append(frame)
+        design.reset()
+        for cycle in range(max_cycles):
+            inputs = rng.choice(input_space)
+            frame = design.eval_comb(inputs)
+            frame["first"] = 1 if cycle == 0 else 0
+            report.cycles_simulated += 1
+            if not checker.frame_ok(frame):
+                report.truncated_traces += 1
+                break
+            design.tick()
+            trace.append(frame)
         report.schedules_run += 1
 
         violated_here = False

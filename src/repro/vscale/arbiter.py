@@ -37,7 +37,7 @@ class Arbiter:
     def restore(self, state: Hashable) -> None:
         self.cur_core, self.prev_core = state
 
-    # -- flat slot protocol (array state backend) ----------------------
+    # -- flat slot protocol --------------------------------------------
 
     #: ``cur_core`` (slot 0 — the only state a grant choice touches,
     #: which is what makes batched expansion a one-slot patch) and

@@ -230,7 +230,7 @@ class VScaleCore:
         ) = state
         self.regs = list(regs)
 
-    # -- flat slot protocol (array state backend) ----------------------
+    # -- flat slot protocol --------------------------------------------
 
     #: 15 scalar pipeline/architectural registers + 32 GPRs.
     SLOT_COUNT = 15 + 32

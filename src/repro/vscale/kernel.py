@@ -1,23 +1,24 @@
-"""Compiled step kernel for the Multi-V-scale SoC.
+"""Compiled frame-free step for the Multi-V-scale SoC.
 
-:func:`build_multi_vscale_kernel` generates, per design instance, the
-straight-line step functions described in :mod:`repro.rtl.kernel`.
-Every slot index is a literal in the generated source.  Per-program
-data lives in the namespace the source executes in, not in the source:
-each core's instruction memory (``IMEM{i}``), its length (``NI{i}``)
-and a precomputed decode table (``DEC{i}``: ``word -> (kind, rs1,
-rd/rs2, imm)``), plus the declared data words as a ``word -> slot``
-dict.  The frame-free sources therefore depend only on the slot layout,
-and designs that share a layout but run different programs share one
-compiled code object (:data:`_CODE_CACHE`); :func:`build_state_step`
-hands the trace harvest and the architectural-outcome enumeration just
-that frame-free pair.  The generated
-scalar ``step`` mirrors
+:func:`build_state_step` generates, per slot layout, a straight-line
+``step_state(vec)`` that maps a flat slot vector (see
+:mod:`repro.rtl.design`) to its successor without touching the design
+object, plus a ``drained(vec)`` quiescence predicate.  Consumers that
+never look at signals use it: the trace harvest and the
+architectural-outcome enumeration, through
+:meth:`~repro.vscale.soc.MultiVScale.state_step`.  Every slot index is
+a literal in the generated source.  Per-program data lives in the
+namespace the source executes in, not in the source: each core's
+instruction memory (``IMEM{i}``), its length (``NI{i}``) and a
+precomputed decode table (``DEC{i}``: ``word -> (kind, rs1, rd/rs2,
+imm)``), plus the declared data words as a ``word -> slot`` dict.  The
+sources therefore depend only on the slot layout, and designs that
+share a layout but run different programs share one compiled code
+object (:data:`_CODE_CACHE`).  ``step_state`` mirrors
 :meth:`MultiVScale.eval_comb` + :meth:`MultiVScale.tick` statement for
-statement — including the frame's exact key insertion order, the
-load->store writeback forwarding, the fetch-past-imem error, and the
-memory word-set growth guard — so the kernel backend is bit-identical
-to the interpreter by construction *and* by the differential tests.
+statement — including the load->store writeback forwarding, the
+fetch-past-imem error, and the memory word-set growth guard — and
+``tests/test_kernel_codegen.py`` checks it against the interpreter.
 
 Decode kind codes (``DMEM_LOAD``/``DMEM_STORE`` align with 1/2 on
 purpose — the view's ``wb_type`` is just ``kind if kind <= 2 else 0``):
@@ -39,9 +40,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Tuple
 
-from repro.errors import RtlError, SvaError
+from repro.errors import RtlError
 from repro.isa import Addi, Halt, Lui, Lw, Sw
-from repro.rtl.kernel import StepKernel
 from repro.vscale.core import cached_decode
 from repro.vscale.memory import BuggyMemory, MemoryBase
 
@@ -85,8 +85,9 @@ def _fetch_error(core_id: int, pc: int) -> RtlError:
 
 
 def _grow_error(word: int) -> RtlError:
-    # Identical wording to MemoryBase._write_base_slots: the kernel hits
-    # the guard during its fused tick, the interpreter at write_slots.
+    # Identical wording to MemoryBase._write_base_slots: the compiled
+    # step hits the guard during its fused tick, the interpreter at
+    # write_slots.
     return RtlError(
         "memory grew words outside the declared data set "
         f"{[word]}; the flat state layout is static, so every "
@@ -116,23 +117,6 @@ class _KernelSpec:
         #: owner core id -> absolute slot of its wb_store_data.
         self.sd_off = tuple(base + 8 for base in self.core_bases)
         self.size = design._slot_layout.size
-
-    def key(self) -> Tuple:
-        """Everything a built kernel depends on (its sources plus the
-        per-program namespace) — the kernel cache key, so equal designs
-        (same programs, same variant) share one built kernel across
-        instances and runs."""
-        return (
-            self.num_cores,
-            tuple(self.core_bases),
-            tuple(self.base_pcs),
-            tuple(self.imems),
-            self.arb,
-            self.mem,
-            self.buggy,
-            self.words,
-            self.size,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -198,53 +182,6 @@ def _emit_comb(spec: _KernelSpec, w) -> None:
         w("        j = MEMIDX.get(pw)")
         w("        if j is not None:")
         w("            lo = vec[j]")
-
-
-def _frame_pairs(spec: _KernelSpec) -> List[Tuple[str, str]]:
-    """``(frame key, comb-local expression)`` pairs in exactly
-    MultiVScale.eval_comb's insertion order — the frame dict literal
-    and the fused assumption compiler both read from this one map."""
-    pairs: List[Tuple[str, str]] = []
-    for i, B in enumerate(spec.core_bases):
-        p = f"core[{i}]."
-        pairs.append((p + "PC_IF", f"pcif{i}"))
-        pairs.append((p + "PC_DX", f"vec[{B + 4}] if dxv{i} else 0"))
-        pairs.append((p + "PC_WB", f"vec[{B + 6}] if vec[{B + 5}] else 0"))
-        pairs.append((p + "stall_IF", f"1 if (st{i} or fs{i}) else 0"))
-        pairs.append((p + "stall_DX", f"1 if st{i} else 0"))
-        pairs.append((p + "stall_WB", "0"))
-        pairs.append((p + "dmem_type_DX", f"k{i} if k{i} <= 2 else 0"))
-        pairs.append((p + "dmem_type_WB", f"vec[{B + 7}]"))
-        pairs.append(
-            (
-                p + "load_data_WB",
-                f"lo if (pc_ == {i} and pk == 1 and vec[{B + 7}] == 1) else 0",
-            )
-        )
-        pairs.append((p + "store_data_WB", f"vec[{B + 8}]"))
-        pairs.append((p + "halted", f"vec[{B + 14}]"))
-    pairs.append(("arbiter.cur_core", "granted"))
-    pairs.append(("arbiter.prev_core", f"vec[{spec.arb + 1}]"))
-    for word in spec.words:
-        pairs.append((f"mem[{word}]", f"vec[{spec.memidx[word]}]"))
-    if spec.buggy:
-        pairs.append(("mem.wvalid", f"vec[{spec.woff}]"))
-        pairs.append(("mem.waddr", f"vec[{spec.woff + 1}]"))
-        pairs.append(("mem.wdata", f"vec[{spec.woff + 2}]"))
-    return pairs
-
-
-def _emit_frame(spec: _KernelSpec, w, extra: str = "") -> None:
-    """The settled frame as one dict literal — key order is exactly
-    MultiVScale.eval_comb's insertion order.  ``extra`` appends
-    trailing entries (the fused path stamps ``'first'`` here, matching
-    the reach-graph hook that adds it after ``eval_comb``)."""
-    w("frame = {")
-    for key, expr in _frame_pairs(spec):
-        w(f"    {key!r}: {expr},")
-    if extra:
-        w(f"    {extra},")
-    w("}")
 
 
 def _emit_tick(spec: _KernelSpec, w) -> None:
@@ -323,27 +260,15 @@ def _emit_tick(spec: _KernelSpec, w) -> None:
         w(f"            raise _fetch({i}, pcif{i})")
 
 
-def _generate_step_source(spec: _KernelSpec, with_frame: bool) -> str:
-    lines: List[str] = []
-    indent = [1]
+def _generate_step_source(spec: _KernelSpec) -> str:
+    lines = ["def step_state(vec):"]
 
     def w(line: str) -> None:
-        lines.append("    " * indent[0] + line)
+        lines.append("    " + line)
 
-    if with_frame:
-        lines.append("def step(vec, hook=None, repeats=1):")
-    else:
-        lines.append("def step_state(vec):")
     _emit_comb(spec, w)
-    if with_frame:
-        _emit_frame(spec, w)
-        w("if hook is not None and not hook(frame, repeats):")
-        w("    return frame, None")
     _emit_tick(spec, w)
-    if with_frame:
-        w("return frame, buf")
-    else:
-        w("return buf")
+    w("return buf")
     return "\n".join(lines) + "\n"
 
 
@@ -357,101 +282,6 @@ def _generate_drained_source(spec: _KernelSpec) -> str:
         f"    return bool(({halted}) and not ({busy}) "
         f"and not vec[{spec.mem}])\n"
     )
-
-
-# ----------------------------------------------------------------------
-# Fused assumption checking
-# ----------------------------------------------------------------------
-
-
-def _bool_src(expr, sigs: Dict[str, str]) -> str:
-    """Compile a :class:`~repro.sva.ast.BoolExpr` to a Python expression
-    over the kernel's comb locals.  Truthiness, short-circuiting, and
-    the missing-signal-reads-0 default all match ``evaluate(frame)``."""
-    from repro.sva import ast
-
-    if isinstance(expr, ast.BConst):
-        return "True" if expr.value else "False"
-    if isinstance(expr, ast.Sig):
-        src = sigs.get(expr.name)
-        return f"({src})" if src is not None else "False"
-    if isinstance(expr, ast.SigEq):
-        src = sigs.get(expr.name)
-        if src is None:
-            return repr(0 == expr.value)
-        return f"(({src}) == {expr.value})"
-    if isinstance(expr, ast.BNot):
-        return f"(not {_bool_src(expr.body, sigs)})"
-    if isinstance(expr, ast.BAnd):
-        if not expr.operands:
-            return "True"
-        return "(" + " and ".join(_bool_src(op, sigs) for op in expr.operands) + ")"
-    if isinstance(expr, ast.BOr):
-        if not expr.operands:
-            return "False"
-        return "(" + " or ".join(_bool_src(op, sigs) for op in expr.operands) + ")"
-    raise SvaError(f"cannot compile boolean expression {expr!r}")
-
-
-def _prop_src(prop, sigs: Dict[str, str]) -> str:
-    """Compile a single-cycle assumption consequent, mirroring
-    ``repro.sva.monitor._bool_property``."""
-    from repro.sva import ast
-
-    if isinstance(prop, ast.PConst):
-        return "True" if prop.value else "False"
-    if isinstance(prop, ast.PSeq):
-        if isinstance(prop.seq, ast.SBool):
-            return _bool_src(prop.seq.expr, sigs)
-        raise SvaError("assumption consequents must be single-cycle")
-    if isinstance(prop, ast.PAnd):
-        if not prop.operands:
-            return "True"
-        return "(" + " and ".join(_prop_src(op, sigs) for op in prop.operands) + ")"
-    if isinstance(prop, ast.POr):
-        if not prop.operands:
-            return "False"
-        return "(" + " or ".join(_prop_src(op, sigs) for op in prop.operands) + ")"
-    if isinstance(prop, ast.PImpl):
-        return (
-            f"((not {_bool_src(prop.antecedent, sigs)}) "
-            f"or {_prop_src(prop.consequent, sigs)})"
-        )
-    raise SvaError(f"assumption consequent too complex: {prop!r}")
-
-
-def _generate_checked_source(spec: _KernelSpec, checks) -> str:
-    """``step_checked(vec, checker, first, repeats)``: comb settle,
-    compiled assumption check (exact ``frame_ok_repeated`` counter
-    effects), then — only when the frame survives — the frame dict
-    literal (with ``'first'`` stamped last, like the reach-graph hook)
-    and the sequential phase.  Pruned cycles never materialize a frame
-    and never raise sequential-phase errors, exactly like the
-    interpreter, which only ticks after the hook passes."""
-    sigs = {key: expr for key, expr in _frame_pairs(spec)}
-    sigs["first"] = "first"
-    lines: List[str] = []
-    indent = [1]
-
-    def w(line: str) -> None:
-        lines.append("    " * indent[0] + line)
-
-    lines.append("def step_checked(vec, checker, first, repeats):")
-    _emit_comb(spec, w)
-    w("_f = 0")
-    for _name, antecedent, consequent in checks:
-        w(f"if {_bool_src(antecedent, sigs)}:")
-        w("    _f += 1")
-        w(f"    if not {_prop_src(consequent, sigs)}:")
-        w("        checker.antecedent_firings += _f * repeats")
-        w("        checker.pruned_frames += repeats")
-        w("        return None, None")
-    w("if _f:")
-    w("    checker.antecedent_firings += _f * repeats")
-    _emit_frame(spec, w, extra="'first': first")
-    _emit_tick(spec, w)
-    w("return frame, buf")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -473,10 +303,10 @@ def _make_namespace(spec: _KernelSpec) -> dict:
 
 
 class _Lru:
-    """A small least-recently-used map: compiled kernels are pure
-    functions of their key, so an evicted entry recompiles to the same
-    source.  The cap keeps long fuzz campaigns (one spec per generated
-    program) from holding every kernel they ever compiled."""
+    """A small least-recently-used map: compiled code is a pure
+    function of its source, so an evicted entry recompiles to the same
+    code.  The cap keeps long fuzz campaigns (long programs change the
+    slot layout) from holding every code object they ever compiled."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -501,8 +331,8 @@ class _Lru:
             self._entries.popitem(last=False)
 
 
-#: Entries each compile cache keeps: above the paper suite's 112
-#: (test, memory variant) specs, so a whole suite stays cache-hot.
+#: Entries the code cache keeps: above the paper suite's 112 (test,
+#: memory variant) pairs, so a whole suite stays cache-hot.
 KERNEL_CACHE_SIZE = 128
 
 #: Generated source -> code object.  Sources depend on the slot layout
@@ -523,61 +353,6 @@ def _exec_source(source: str, namespace: dict, entry: str):
     return namespace[entry]
 
 
-#: spec.key() -> StepKernel.  Kernels are pure functions of the spec,
-#: so equal designs (every benchmark repeat, every fuzz worker on the
-#: same test) share one compiled kernel instead of recompiling.
-_KERNEL_CACHE = _Lru(KERNEL_CACHE_SIZE)
-
-#: (spec.key(), checks) -> fused step_checked function (or None when
-#: the checker's properties fall outside the compilable single-cycle
-#: fragment and the interpreted path must run instead).
-_CHECKED_CACHE = _Lru(KERNEL_CACHE_SIZE)
-
-
-def build_multi_vscale_kernel(design) -> StepKernel:
-    """Compile (or fetch from the cache) the design's step kernel; the
-    design must already be on the array backend (slot layout bound)."""
-    spec = _KernelSpec(design)
-    cache_key = spec.key()
-    kernel = _KERNEL_CACHE.get(cache_key)
-    if kernel is not None:
-        return kernel
-    namespace = _make_namespace(spec)
-
-    step_src = _generate_step_source(spec, with_frame=True)
-    step = _exec_source(step_src, namespace, "step")
-
-    arb = spec.arb
-    num_cores = spec.num_cores
-
-    def apply_inputs(buf, inputs):
-        buf[arb] = inputs.get("arb_select", 0) % num_cores
-
-    kernel = StepKernel(step=step, apply_inputs=apply_inputs, source=step_src)
-    _KERNEL_CACHE.put(cache_key, kernel)
-    return kernel
-
-
-def build_checked_step(design, checker):
-    """Compile (or fetch) the fused assumption-checked step for
-    ``checker``'s checks against ``design``'s kernel spec.  Returns
-    ``None`` when any check falls outside the compilable fragment —
-    callers then run the interpreted ``frame_ok_repeated`` path, which
-    also preserves the interpreter's lazy ``SvaError`` behavior."""
-    spec = _KernelSpec(design)
-    checks = tuple(checker.checks)
-    cache_key = (spec.key(), checks)
-    if cache_key in _CHECKED_CACHE:
-        return _CHECKED_CACHE.get(cache_key)
-    try:
-        source = _generate_checked_source(spec, checks)
-        fused = _exec_source(source, _make_namespace(spec), "step_checked")
-    except SvaError:
-        fused = None
-    _CHECKED_CACHE.put(cache_key, fused)
-    return fused
-
-
 def build_state_step(design):
     """The frame-free compiled pair ``(step_state, drained)`` for
     ``design`` (slot layout bound), for consumers that step raw slot
@@ -587,13 +362,12 @@ def build_state_step(design):
 
     ``step_state(vec)`` returns the successor as a fresh list with the
     arbiter grant slot unpatched; ``drained(vec)`` is the quiescence
-    predicate.  Unlike :func:`build_multi_vscale_kernel` this does not
-    compile the framed ``step``, and it shares its code objects across
-    every design with the same slot layout."""
+    predicate.  Code objects are shared across every design with the
+    same slot layout."""
     spec = _KernelSpec(design)
     namespace = _make_namespace(spec)
     step_state = _exec_source(
-        _generate_step_source(spec, with_frame=False), namespace, "step_state"
+        _generate_step_source(spec), namespace, "step_state"
     )
     drained = _exec_source(_generate_drained_source(spec), namespace, "drained")
     return step_state, drained

@@ -43,8 +43,8 @@ class MemoryBase:
     def __init__(self, initial: Optional[Dict[int, int]] = None):
         self.initial = dict(initial or {})
         #: The declared word addresses, in slot order.  Litmus-compiled
-        #: programs only ever store to declared words, so the flat
-        #: backend can lay the array out statically.
+        #: programs only ever store to declared words, so the flat slot
+        #: layout can hold the array statically.
         self.slot_words: Tuple[int, ...] = tuple(sorted(self.initial))
         self.reset()
 
@@ -68,7 +68,7 @@ class MemoryBase:
         ``store_data`` is the data presented by a pending store's WB."""
         raise NotImplementedError
 
-    # -- flat slot protocol (array state backend) ----------------------
+    # -- flat slot protocol --------------------------------------------
 
     #: Pending-transaction encoding: (valid, core, kind, word address).
     PENDING_SLOTS = 4

@@ -66,22 +66,14 @@ class MultiVScale(Design):
     with the store-dropping bug of §7.1) or ``"fixed"`` (the paper's
     corrected memory).
 
-    ``state_backend`` selects the snapshot representation the verifier
-    walks: ``"array"`` (the default — interned flat slot vectors with
-    the batched expansion kernel, see ``docs/performance.md``) or
-    ``"kernel"`` (the array representation stepped by a compiled
-    per-design function, :mod:`repro.vscale.kernel`).  Consumers that
-    never look at signals — the trace harvest and the architectural
-    outcome enumeration — ignore it and step raw slot tuples through
-    :meth:`state_step` instead.
+    Snapshots are interned flat slot vectors, and the verifier's walk
+    expands each state through the batched :meth:`step_batch` (see
+    ``docs/performance.md``).  Consumers that never look at signals —
+    the trace harvest and the architectural outcome enumeration — step
+    raw slot tuples through the compiled :meth:`state_step` instead.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledTest,
-        memory_variant: str = "fixed",
-        state_backend: str = "array",
-    ):
+    def __init__(self, compiled: CompiledTest, memory_variant: str = "fixed"):
         if compiled.num_cores != NUM_CORES:
             raise RtlError(f"expected {NUM_CORES}-core compile, got {compiled.num_cores}")
         self.compiled = compiled
@@ -106,12 +98,7 @@ class MultiVScale(Design):
         self._mem_keys = tuple((word, f"mem[{word}]") for word in self.data_words)
         self._pending_tick = None
         self.reset()
-        if state_backend == "array":
-            self.enable_array_state()
-        elif state_backend == "kernel":
-            self.enable_kernel_state()
-        else:
-            raise RtlError(f"unknown state backend {state_backend!r}")
+        self.enable_array_state()
 
     # ------------------------------------------------------------------
 
@@ -244,25 +231,6 @@ class MultiVScale(Design):
         the whole input space, and each choice's successor differs from
         its neighbours in exactly one slot (``arbiter.cur_core``).
         """
-        backend = self.state_backend
-        if backend == "kernel":
-            n = len(input_space)
-            interner = self._interner
-            kern = self.__dict__.get("_kernel") or self.step_kernel
-            frame, buf = kern.step(interner.state(state), frame_hook, n)
-            self.batch_expansions += 1
-            self.kernel_batched_steps += 1
-            if buf is None:
-                return [None] * n
-            self.slots_copied += len(buf)
-            cur_slot = self._arb_base
-            intern = interner.intern
-            edges = []
-            append = edges.append
-            for select in self._select_values(input_space):
-                buf[cur_slot] = select
-                append((frame, intern(tuple(buf))))
-            return edges
         n = len(input_space)
         self.restore(state)
         frame = self.eval_comb(input_space[0])
@@ -282,59 +250,6 @@ class MultiVScale(Design):
             edges.append((frame, interner.intern(tuple(buf))))
         return edges
 
-    def _select_values(self, input_space):
-        """``arb_select % num_cores`` per input choice, memoized on the
-        caller's (stable) input-space object — the only slot that
-        varies across a batch's successors."""
-        cached = self.__dict__.get("_selects_cache")
-        if cached is not None and cached[0] is input_space:
-            return cached[1]
-        num_cores = self.arbiter.num_cores
-        selects = tuple(
-            inputs.get("arb_select", 0) % num_cores for inputs in input_space
-        )
-        self._selects_cache = (input_space, selects)
-        return selects
-
-    def checked_step_kernel(self, checker):
-        """The fused compiled step for ``checker`` (see
-        :func:`repro.vscale.kernel.build_checked_step`), memoized per
-        checker instance; ``None`` off the kernel backend or when the
-        checker falls outside the compilable fragment."""
-        if self.state_backend != "kernel":
-            return None
-        cache = self.__dict__.setdefault("_checked_steps", {})
-        key = id(checker)
-        if key not in cache:
-            from repro.vscale.kernel import build_checked_step
-
-            cache[key] = build_checked_step(self, checker)
-        return cache[key]
-
-    def step_batch_checked(self, state, input_space, checker, first):
-        """Kernel-backend fast path: one fused comb-settle + compiled
-        assumption check + tick, then the per-choice arbiter-grant
-        patch; counter effects are identical to the hook path."""
-        fused = self.checked_step_kernel(checker)
-        if fused is None:
-            return super().step_batch_checked(state, input_space, checker, first)
-        n = len(input_space)
-        interner = self._interner
-        frame, buf = fused(interner.state(state), checker, first, n)
-        self.batch_expansions += 1
-        self.kernel_batched_steps += 1
-        if frame is None:
-            return [None] * n
-        self.slots_copied += len(buf)
-        cur_slot = self._arb_base
-        intern = interner.intern
-        edges = []
-        append = edges.append
-        for select in self._select_values(input_space):
-            buf[cur_slot] = select
-            append((frame, intern(tuple(buf))))
-        return edges
-
     def state_step(self) -> StateStep:
         """The design's frame-free compiled step, for consumers that
         walk raw slot tuples and never look at signals (the trace
@@ -350,18 +265,17 @@ class MultiVScale(Design):
 
         self.reset()
         step_state, drained = build_state_step(self)
+        num_cores = self.arbiter.num_cores
         return StateStep(
             start=self.state_vector(self.snapshot()),
             step_state=step_state,
             drained=drained,
             grant_slot=self._arb_base,
-            selects=self._select_values(self.input_space()),
+            selects=tuple(
+                inputs.get("arb_select", 0) % num_cores
+                for inputs in self.input_space()
+            ),
         )
-
-    def build_step_kernel(self):
-        from repro.vscale.kernel import build_multi_vscale_kernel
-
-        return build_multi_vscale_kernel(self)
 
     # ------------------------------------------------------------------
 

@@ -10,12 +10,11 @@ for the per-execution consistency checker.  Per test the cost is
 long-program fuzzing feasible.
 
 Sampling runs on the design's frame-free compiled step
-(:meth:`~repro.vscale.soc.MultiVScale.state_step`), whatever state backend
-the rest of the campaign uses.  Schedules progress in a *wavefront* of
-raw slot tuples, grouped by state, so each distinct state pays one
-``step_state`` call per cycle no matter how many schedules currently
-occupy it — early on, all ``k`` schedules share the reset state and the
-whole wavefront advances for the price of one.  The grant is the only
+(:meth:`~repro.vscale.soc.MultiVScale.state_step`).  Schedules progress
+in a *wavefront* of raw slot tuples, grouped by state, so each distinct
+state pays one ``step_state`` call per cycle no matter how many
+schedules currently occupy it — early on, all ``k`` schedules share
+the reset state and the whole wavefront advances for the price of one.  The grant is the only
 input, and it feeds only the arbiter slot, so a group builds one
 successor tuple per *distinct grant drawn* by its members; quiescence
 is the compiled predicate, evaluated once per group, and each distinct

@@ -145,7 +145,7 @@ class TestMergeAlgebra:
 class TestSignatures:
     def test_repr_fallback_is_stable_and_discriminating(self):
         class Dummy:
-            state_backend = None
+            slot_layout_bound = False
 
         design = Dummy()
         assert state_signature(design, (1, 2)) == state_signature(design, (1, 2))

@@ -1,14 +1,15 @@
-"""Property tests for the compiled step-kernel codegen.
+"""Property tests for the compiled frame-free step.
 
-The kernel backend's compiled step must be a bit-exact replacement for
-the interpreter over *every* reachable slot vector — including the
-``-1``-for-None sentinel slots (no pending writeback register, no
-in-flight memory transaction) and the buggy memory's write-capture
-slots.  Hypothesis drives randomly generated litmus programs through
-random arbiter schedules on the kernel and array backends in lockstep
-and requires the same frames, the same successor slot vectors, and the
-same quiescence verdicts at every cycle; the frame-free compiled step
-is checked against the interpreter the same way.
+``MultiVScale.state_step()`` hands the trace harvest and the outcome
+enumeration a compiled ``step_state``/``drained`` pair over flat slot
+vectors.  It must be a bit-exact replacement for the interpreter
+(``restore`` -> ``eval_comb`` -> ``tick`` -> ``snapshot``) over *every*
+reachable slot vector — including the ``-1``-for-None sentinel slots
+(no pending writeback register, no in-flight memory transaction) and
+the buggy memory's write-capture slots.  Hypothesis drives randomly
+generated litmus programs through random arbiter schedules on both
+paths in lockstep and requires the same successor slot vector for
+every grant choice and the same quiescence verdict at every cycle.
 """
 
 import os
@@ -20,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import get_test
+from repro import get_test, paper_suite
 from repro.difftest.generate import FuzzGenerator
 from repro.litmus import compile_test
-from repro.sva import AssumptionChecker
 from repro.vscale.soc import MultiVScale
+
 
 def _keep_all(frame, repeats):
     return True
@@ -35,125 +36,73 @@ def _restored_drained(design, state):
     return design.drained()
 
 
+def _interpreted_successors(design, state):
+    """Every grant choice's successor of ``state``, one interpreted
+    ``eval_comb``/``tick`` per choice."""
+    successors = []
+    for inputs in design.input_space():
+        design.restore(state)
+        design.eval_comb(inputs)
+        design.tick()
+        successors.append(design.snapshot())
+    return successors
+
+
+def _compiled_successors(stepper, vec):
+    """Every grant choice's successor of ``vec`` through the compiled
+    step: one ``step_state`` call, then the grant slot patched."""
+    buf = stepper.step_state(vec)
+    successors = []
+    for select in stepper.selects:
+        buf[stepper.grant_slot] = select
+        successors.append(tuple(buf))
+    return successors
+
+
 #: One deterministic generator: ``test_at(i)`` is a pure function of
 #: ``(seed, i)``, so hypothesis shrinks over a stable test stream.
 _GENERATOR = FuzzGenerator(20260808)
 
 
-def _designs(index, variant):
-    test = _GENERATOR.test_at(index)
-    compiled = compile_test(test)
-    kernel = MultiVScale(compiled, variant, state_backend="kernel")
-    array = MultiVScale(compiled, variant, state_backend="array")
-    kernel.reset()
-    array.reset()
-    return kernel, array
-
-
 class TestScalarKernel:
     @given(
         index=st.integers(0, 150),
-        schedule=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+        schedule=st.lists(st.integers(0, 3), min_size=1, max_size=12),
         variant=st.sampled_from(["fixed", "buggy"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_steps_match_interpreter(self, index, schedule, variant):
-        """Frame-for-frame, slot-for-slot agreement along one walk."""
-        kernel, array = _designs(index, variant)
-        k_state, a_state = kernel.snapshot(), array.snapshot()
-        assert kernel.state_vector(k_state) == array.state_vector(a_state)
-        inputs = kernel.input_space()
+        """Slot-for-slot, grant-for-grant agreement along one walk."""
+        design = MultiVScale(compile_test(_GENERATOR.test_at(index)), variant)
+        stepper = design.state_step()
+        state = design.snapshot()
+        vec = stepper.start
+        assert vec == design.state_vector(state)
         for select in schedule:
-            k_edges = kernel.step_batch(k_state, inputs, _keep_all)
-            a_edges = array.step_batch(a_state, inputs, _keep_all)
-            assert len(k_edges) == len(a_edges)
-            for (k_frame, k_child), (a_frame, a_child) in zip(
-                k_edges, a_edges
-            ):
-                assert dict(k_frame) == dict(a_frame)
-                assert list(k_frame.keys()) == list(a_frame.keys())
-                assert kernel.state_vector(k_child) == array.state_vector(
-                    a_child
-                )
-            assert _restored_drained(kernel, k_state) == _restored_drained(
-                array, a_state
-            )
-            pick = select % len(k_edges)
-            k_state = k_edges[pick][1]
-            a_state = a_edges[pick][1]
-
-    @given(
-        index=st.integers(0, 150),
-        schedule=st.lists(st.integers(0, 3), min_size=0, max_size=8),
-        variant=st.sampled_from(["fixed", "buggy"]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_fused_check_matches_hook(self, index, schedule, variant):
-        """The fused compiled assumption check prunes exactly the edges
-        the interpreter hook prunes, with identical counter effects."""
-        test = _GENERATOR.test_at(index)
-        compiled = compile_test(test)
-        from repro.mapping import MultiVScaleProgramMapping
-
-        assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
-        kernel = MultiVScale(compiled, variant, state_backend="kernel")
-        array = MultiVScale(compiled, variant, state_backend="array")
-        kernel.reset()
-        array.reset()
-        k_checker = AssumptionChecker(assumptions)
-        a_checker = AssumptionChecker(assumptions)
-        k_state, a_state = kernel.snapshot(), array.snapshot()
-        inputs = kernel.input_space()
-        first = 1
-        for select in schedule:
-            k_steps = kernel.step_batch_checked(
-                k_state, inputs, k_checker, first
-            )
-            a_steps = array.step_batch_checked(
-                a_state, inputs, a_checker, first
-            )
-            assert [s is None for s in k_steps] == [
-                s is None for s in a_steps
-            ]
-            assert k_checker.antecedent_firings == a_checker.antecedent_firings
-            assert k_checker.pruned_frames == a_checker.pruned_frames
-            for k_step, a_step in zip(k_steps, a_steps):
-                if k_step is None:
-                    continue
-                assert dict(k_step[0]) == dict(a_step[0])
-                assert kernel.state_vector(k_step[1]) == array.state_vector(
-                    a_step[1]
-                )
-            live = [s for s in k_steps if s is not None]
-            if not live:
-                break
-            k_state = live[select % len(live)][1]
-            a_state = [s for s in a_steps if s is not None][
-                select % len(live)
-            ][1]
-            first = 0
+            assert stepper.drained(vec) == _restored_drained(design, state)
+            interpreted = _interpreted_successors(design, state)
+            compiled = _compiled_successors(stepper, vec)
+            assert compiled == [design.state_vector(s) for s in interpreted]
+            pick = select % len(compiled)
+            state, vec = interpreted[pick], compiled[pick]
+        assert stepper.drained(vec) == _restored_drained(design, state)
 
 
 class TestSentinelSlots:
     def test_none_sentinels_round_trip(self):
         """States with no pending writeback/memory transaction encode
-        ``None`` as ``-1`` in the slot vector; the kernel must decode
+        ``None`` as ``-1`` in the slot vector; ``step_state`` must decode
         and re-encode them exactly."""
-        compiled = compile_test(get_test("mp"))
-        kernel = MultiVScale(compiled, "fixed", state_backend="kernel")
-        kernel.reset()
-        root = kernel.snapshot()
-        vec = kernel.state_vector(root)
-        assert -1 in vec, "reset state must carry None sentinels"
-        # Stepping the reset vector through the compiled kernel and the
+        design = MultiVScale(compile_test(get_test("mp")), "fixed")
+        stepper = design.state_step()
+        root = design.snapshot()
+        assert -1 in stepper.start, "reset state must carry None sentinels"
+        # Stepping the reset vector through the compiled step and the
         # interpreter produces identical sentinel placements.
-        array = MultiVScale(compiled, "fixed", state_backend="array")
-        array.reset()
-        inputs = kernel.input_space()
-        k_edges = kernel.step_batch(root, inputs, _keep_all)
-        a_edges = array.step_batch(array.snapshot(), inputs, _keep_all)
-        for (k_frame, k_child), (_a_frame, a_child) in zip(k_edges, a_edges):
-            assert kernel.state_vector(k_child) == array.state_vector(a_child)
+        interpreted = _interpreted_successors(design, root)
+        assert _compiled_successors(stepper, stepper.start) == [
+            design.state_vector(s) for s in interpreted
+        ]
 
 
 class TestLayoutSharedCode:
@@ -170,9 +119,7 @@ class TestLayoutSharedCode:
         iriw = MultiVScale(compile_test(get_test("iriw")), variant)
         assert [len(c.imem) for c in mp.cores] != [len(c.imem) for c in iriw.cores]
         sources = {
-            vscale_kernel._generate_step_source(
-                vscale_kernel._KernelSpec(design), with_frame=False
-            )
+            vscale_kernel._generate_step_source(vscale_kernel._KernelSpec(design))
             for design in (mp, iriw)
         }
         assert len(sources) == 1
@@ -203,9 +150,9 @@ class TestLayoutSharedCode:
                 pytest.fail("schedule did not drain")
 
     def test_build_state_step_leaves_numpy_unimported(self):
-        """No compiled step path — the harvest, the outcome enumeration,
-        the kernel backend — imports numpy (a fresh interpreter, so no
-        other test's import can mask it)."""
+        """No compiled step path — the harvest, the outcome enumeration
+        — imports numpy (a fresh interpreter, so no other test's import
+        can mask it)."""
         script = (
             "import sys\n"
             "from repro import get_test\n"
@@ -218,7 +165,6 @@ class TestLayoutSharedCode:
             "build_state_step(MultiVScale(compile_test(get_test('mp'))))\n"
             "harvest_traces(get_test('sb'), 'buggy')\n"
             "rtl_verdicts(get_test('sb'), 'buggy')\n"
-            "MultiVScale(compile_test(get_test('mp')), state_backend='kernel')\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         )
         env = dict(os.environ)
@@ -227,3 +173,36 @@ class TestLayoutSharedCode:
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+class TestCompileCache:
+    """The code cache is a bounded LRU whose evictions are invisible: a
+    recompiled step is the same code."""
+
+    def test_lru_evicts_least_recently_used(self):
+        from repro.vscale.kernel import KERNEL_CACHE_SIZE, _Lru
+
+        # A whole suite (56 tests x 2 memory variants) stays cache-hot.
+        assert KERNEL_CACHE_SIZE > 2 * len(paper_suite())
+        lru = _Lru(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # refreshes "a"
+        lru.put("c", 3)
+        assert "a" in lru and "c" in lru and "b" not in lru
+        assert len(lru) == 2
+
+    def test_evicted_code_recompiles_identically(self, monkeypatch):
+        from repro.vscale import kernel as vscale_kernel
+
+        monkeypatch.setattr(vscale_kernel, "_CODE_CACHE", vscale_kernel._Lru(1))
+        mp = compile_test(get_test("mp"))
+        first, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
+        # The buggy memory's layout differs, so its step_state (and each
+        # drained) evicts mp's code from the 1-entry cache.
+        vscale_kernel.build_state_step(MultiVScale(mp, "buggy"))
+        assert len(vscale_kernel._CODE_CACHE) == 1
+        again, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
+        assert again.__code__ is not first.__code__
+        assert again.__code__.co_code == first.__code__.co_code
+        assert again.__code__.co_consts == first.__code__.co_consts

@@ -71,11 +71,10 @@ def _harvest(design):
 
 
 def reference_enumeration(compiled, memory_variant, max_states) -> ArchEnumeration:
-    """The interpreted ``array``-backend loop ``enumerate_design_outcomes``
-    used to run: each layer's successors come from one ``step_batch``
+    """The interpreted loop ``enumerate_design_outcomes`` used to run: each layer's successors come from one ``step_batch``
     per frontier state, all computed before any is visited, and
     quiescence is ``restore()`` + ``drained()``."""
-    design = MultiVScale(compiled, memory_variant, state_backend="array")
+    design = MultiVScale(compiled, memory_variant)
     design.reset()
     root = design.snapshot()
     seen = {root}

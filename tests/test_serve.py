@@ -72,7 +72,6 @@ def cli_suite_report(cache_dir, test_names=SUITE_TESTS, observe=False):
         config=CONFIGS["Full_Proof"],
         observe=observe,
         cache=VerificationCache(str(cache_dir)),
-        state_backend="array",
     )
     results = rtlcheck.verify_suite([get_test(name) for name in test_names])
     return obs.suite_report(
@@ -92,7 +91,6 @@ class TestValidateSpec:
         assert spec["params"]["tests"] == ["mp"]
         assert spec["params"]["memory_variant"] == "fixed"
         assert spec["params"]["config"] == "Full_Proof"
-        assert spec["params"]["state_backend"] == "array"
         assert spec["params"]["observe"] is False
 
     def test_suite_defaults_to_full_paper_suite(self):
@@ -155,10 +153,10 @@ class TestValidateSpec:
         buggy = validate_spec(
             {"kind": "suite", "params": {"tests": ["mp"], "memory_variant": "buggy"}}
         )
-        kernel = validate_spec(
-            {"kind": "suite", "params": {"tests": ["mp"], "state_backend": "kernel"}}
+        hybrid = validate_spec(
+            {"kind": "suite", "params": {"tests": ["mp"], "config": "Hybrid"}}
         )
-        keys = {job_key(base), job_key(buggy), job_key(kernel)}
+        keys = {job_key(base), job_key(buggy), job_key(hybrid)}
         assert len(keys) == 3
 
 
@@ -347,6 +345,15 @@ class TestJobLifecycle:
             client.submit({"kind": "suite", "params": {"tests": ["zzz-none"]}})
         with pytest.raises(ServeError, match="404"):
             client.status("not-a-job-key")
+
+    def test_state_backend_param_is_a_client_error(self, client):
+        # One state representation: the retired backend knob is an
+        # unknown parameter on every job kind.
+        for kind, params in (("suite", {"tests": ["mp"]}), ("fuzz", {"budget": 1})):
+            spec = {"kind": kind, "params": {**params, "state_backend": "array"}}
+            with pytest.raises(ServeError, match="400") as excinfo:
+                client.submit(spec)
+            assert f"unknown {kind} job params" in str(excinfo.value)
 
     def test_report_of_unknown_job_is_404(self, client):
         with pytest.raises(ServeError, match="404"):

@@ -1,22 +1,24 @@
-"""The array state backend: verdicts, graphs, and representation.
+"""Design state: verdicts, graphs, and representation.
 
-The array backend (flat interned slot vectors + batched frontier
-expansion, ``repro.rtl.design``) must reproduce the verdicts pinned in
-``tests/fixtures/golden_verdicts.json`` — captured when a nested-tuple
-snapshot backend still existed as the reference — and build graphs,
-counterexample traces, and VCD waveforms identical to the
-compiled-kernel backend.  These tests also pin the
-representation-level wins the backend exists for (hash-consing,
+Designs snapshot to flat slot vectors interned to dense ids, and the
+verifier's graph expands each state through Multi-V-scale's batched
+``step_batch`` (``repro.rtl.design``).  That path must reproduce the
+verdicts pinned in ``tests/fixtures/golden_verdicts.json`` — captured
+when a nested-tuple snapshot backend still existed as the reference —
+and build the same graphs and counterexample waveforms as the generic
+one-input-at-a-time expansion and plain simulation.  These tests also
+pin the representation-level wins (hash-consing, shared frame keys,
 compact pickles, snapshot/restore round-trips, an injective flat
-encoding).
+encoding), and that no option selects a state backend any more.
 
-Set ``RTLCHECK_STATE_BACKEND_FULL=1`` to sweep the full 56-test suite
-on both memory variants (minutes); the default subset keeps CI fast.
+``tests/test_golden_verdicts.py`` replays every suite test (with
+``RTLCHECK_GOLDEN_FULL=1``); the subset here keeps CI fast.
 """
 
+import dataclasses
 import json
-import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,11 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RTLCheck, get_test, paper_suite
+from repro import RTLCheck, get_test
 from repro.errors import ReproError
 from repro.litmus import compile_test
 from repro.mapping import MultiVScaleProgramMapping
-from repro.rtl.design import StateInterner
+from repro.rtl.design import Design, Simulator, StateInterner
 from repro.rtl.vcd import render_vcd
 from repro.sva import AssumptionChecker
 from repro.verifier.reach import ReachGraph
@@ -43,17 +45,21 @@ from regen_golden_verdicts import verification_digest  # noqa: E402
 SUBSET = ["mp", "sb", "lb", "iwp24", "n4"]
 VARIANTS = ["fixed", "buggy"]
 
-FULL_SWEEP = os.environ.get("RTLCHECK_STATE_BACKEND_FULL") == "1"
-SWEEP = [t.name for t in paper_suite()] if FULL_SWEEP else SUBSET
-
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_verdicts.json"
 GOLDEN = {row["test"]: row for row in json.loads(FIXTURE.read_text())["tests"]}
 
 
-def _build_full_graph(name, variant, backend):
-    """Fully expand a ReachGraph under ``backend``; return (graph, design)."""
+class _UnbatchedMultiVScale(MultiVScale):
+    """Multi-V-scale expanded by the generic per-input
+    restore/eval_comb/tick loop instead of its batched override."""
+
+    step_batch = Design.step_batch
+
+
+def _build_full_graph(name, variant, design_class=MultiVScale):
+    """Fully expand a ReachGraph; return (graph, design)."""
     compiled = compile_test(get_test(name))
-    design = MultiVScale(compiled, variant, state_backend=backend)
+    design = design_class(compiled, variant)
     assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
     graph = ReachGraph(design, AssumptionChecker(assumptions))
     frontier = [graph.root]
@@ -68,13 +74,13 @@ def _build_full_graph(name, variant, backend):
 
 
 def _edge_shape(graph):
-    """Backend-independent structural view: per-node edge lists with
-    frames as plain dicts and children as node ids (snapshot ids are
+    """Structural view: per-node edge lists with frames as plain dicts
+    (in key order) and children as node ids (snapshot ids are
     interning-order artifacts, so they are deliberately not part of the
     shape)."""
     return [
         [
-            None if edge is None else (dict(edge[0]), edge[1])
+            None if edge is None else (list(edge[0].items()), edge[1])
             for edge in graph.successors(node)
         ]
         for node in range(graph.num_nodes)
@@ -85,34 +91,30 @@ class TestVerdictEquivalence:
     """Full-pipeline agreement: verdicts, modeled hours, waveforms."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("name", SWEEP)
+    @pytest.mark.parametrize("name", SUBSET)
     def test_serialized_verdicts_identical(self, name, variant):
         """The serialized verification matches the pinned digest."""
-        result = RTLCheck(state_backend="array").verify_test(
-            get_test(name), memory_variant=variant
-        )
+        result = RTLCheck().verify_test(get_test(name), memory_variant=variant)
         digest = GOLDEN[name][f"verifier_{variant}_digest"]
         assert verification_digest(result) == digest, f"{name}/{variant}"
 
     def test_counterexample_vcd_identical(self):
-        """Buggy-memory counterexamples render to byte-identical VCD."""
-        traces = {}
-        for backend in ("array", "kernel"):
-            rc = RTLCheck(state_backend=backend)
-            result = rc.verify_test(get_test("mp"), memory_variant="buggy")
-            failed = [
-                p
-                for p in result.properties
-                if p.ground_truth.counterexample is not None
-            ]
-            assert failed, "buggy mp must produce a counterexample"
-            traces[backend] = [
-                [frame for _inputs, frame in p.ground_truth.counterexample]
-                for p in failed
-            ]
-        assert len(traces["array"]) == len(traces["kernel"])
-        for array_trace, kernel_trace in zip(traces["array"], traces["kernel"]):
-            assert render_vcd(array_trace) == render_vcd(kernel_trace)
+        """A buggy-memory counterexample, read off the graph's edge
+        frames, renders to the same VCD as a plain simulation of its
+        input schedule on a fresh design."""
+        test = get_test("mp")
+        result = RTLCheck().verify_test(test, memory_variant="buggy")
+        failed = [
+            p for p in result.properties if p.ground_truth.counterexample is not None
+        ]
+        assert failed, "buggy mp must produce a counterexample"
+        compiled = compile_test(test)
+        for prop in failed:
+            trace = prop.ground_truth.counterexample
+            simulator = Simulator(MultiVScale(compiled, "buggy"))
+            replayed = [simulator.step(inputs) for inputs, _frame in trace]
+            frames = [frame for _inputs, frame in trace]
+            assert render_vcd(frames) == render_vcd(replayed)
 
 
 class TestGraphStructure:
@@ -120,25 +122,27 @@ class TestGraphStructure:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_graphs_isomorphic_by_construction_order(self, variant):
-        array_graph, _ = _build_full_graph("mp", variant, "array")
-        kernel_graph, _ = _build_full_graph("mp", variant, "kernel")
-        assert array_graph.num_nodes == kernel_graph.num_nodes
-        assert array_graph.expanded_nodes == kernel_graph.expanded_nodes
-        assert array_graph.sim_transitions == kernel_graph.sim_transitions
-        assert _edge_shape(array_graph) == _edge_shape(kernel_graph)
+        """Multi-V-scale's batched expansion (one settle shared by every
+        grant) builds the graph the generic per-input loop builds."""
+        batched, _ = _build_full_graph("mp", variant)
+        generic, _ = _build_full_graph("mp", variant, _UnbatchedMultiVScale)
+        assert batched.num_nodes == generic.num_nodes
+        assert batched.expanded_nodes == generic.expanded_nodes
+        assert batched.sim_transitions == generic.sim_transitions
+        assert _edge_shape(batched) == _edge_shape(generic)
 
     def test_interning_bounds_resident_states(self):
         """Regression for the memory win: a full mp-suite build interns
         at most one flat tuple per discovered node (hash-consing), and
         never fewer than one per *distinct* design state."""
         for variant in VARIANTS:
-            graph, design = _build_full_graph("mp", variant, "array")
+            graph, design = _build_full_graph("mp", variant)
             assert graph.expanded_nodes == graph.num_nodes
             assert 0 < design.states_interned <= graph.expanded_nodes
 
     def test_equal_snapshots_share_one_id(self):
         compiled = compile_test(get_test("mp"))
-        design = MultiVScale(compiled, "fixed", state_backend="array")
+        design = MultiVScale(compiled, "fixed")
         design.reset()
         first = design.snapshot()
         design.eval_comb({"arb_select": 0})
@@ -150,9 +154,9 @@ class TestGraphStructure:
         assert design.states_interned >= 1
 
     def test_array_graph_pickle_round_trips(self):
-        """Pickled array-backend graphs rehydrate with identical
-        structure and keep expanding."""
-        array_graph, _ = _build_full_graph("mp", "fixed", "array")
+        """Pickled graphs rehydrate with identical structure and keep
+        expanding."""
+        array_graph, _ = _build_full_graph("mp", "fixed")
         revived = pickle.loads(pickle.dumps(array_graph))
         assert revived.num_nodes == array_graph.num_nodes
         assert _edge_shape(revived) == _edge_shape(array_graph)
@@ -199,9 +203,9 @@ class TestSnapshotRestore:
             (tuple(sorted(memory.array.items())), memory.pending),
         )
 
-    def _stepped(self, backend, schedule, name="mp"):
+    def _stepped(self, schedule, name="mp"):
         compiled = compile_test(get_test(name))
-        design = MultiVScale(compiled, "fixed", state_backend=backend)
+        design = MultiVScale(compiled, "fixed")
         design.reset()
         for select in schedule:
             design.eval_comb({"arb_select": select})
@@ -211,9 +215,9 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_behavior(self):
         """restore(snapshot()) resumes an identical execution."""
         schedule = [0, 1, 1, 0, 1, 0, 0, 1]
-        design = self._stepped("array", schedule)
+        design = self._stepped(schedule)
         saved = design.snapshot()
-        reference = self._stepped("array", schedule)
+        reference = self._stepped(schedule)
         for select in [1, 0, 1, 1]:
             design.eval_comb({"arb_select": select})
             design.tick()
@@ -235,7 +239,7 @@ class TestSnapshotRestore:
         component-level structural states are equal — the flat encoding
         loses nothing (bools, None sentinels, memory words)."""
         compiled = compile_test(get_test("sb"))
-        array = MultiVScale(compiled, "fixed", state_backend="array")
+        array = MultiVScale(compiled, "fixed")
         structural = []
         array_ids = []
         for schedule in (prefix_a, prefix_b):
@@ -305,41 +309,52 @@ class TestSnapshotRestore:
         assert revived.intern((0, -1)) == a
 
 
-class TestBackendSelection:
-    """Plumbing: the backend is chosen at the RTLCheck/CLI layer."""
+class TestNoBackendKnob:
+    """One state representation: no option selects a backend."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError):
-            RTLCheck(state_backend="linked-list")
-
-    def test_cli_flag(self):
+    def test_cli_rejects_state_backend(self):
         from repro.__main__ import build_parser
 
-        args = build_parser().parse_args(["verify", "mp"])
-        assert args.state_backend == "array"
-        args = build_parser().parse_args(
-            ["suite", "--state-backend", "kernel"]
+        for argv in (
+            ["verify", "mp"],
+            ["fuzz"],
+            ["submit", "suite"],
+            ["submit", "fuzz"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv + ["--state-backend", "array"])
+            assert excinfo.value.code == 2
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "suite", "--state-backend", "array"],
+            env=env,
+            capture_output=True,
+            text=True,
         )
-        assert args.state_backend == "kernel"
-        for bad in ("x", "dict"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["verify", "mp", "--state-backend", bad]
-                )
+        assert proc.returncode == 2
+        assert "--state-backend" in proc.stderr
 
-    def test_cache_keys_distinguish_backends(self):
-        from repro.cache.keys import reach_key
-        from repro.mapping import MultiVScaleProgramMapping as Mapping
+    def test_config_objects_take_no_backend(self):
+        from repro.difftest.runner import FuzzConfig
 
-        test = get_test("mp")
-        keys = {
-            reach_key(
-                test=test,
-                memory_variant="fixed",
-                design_factory=MultiVScale,
-                program_mapping_factory=Mapping,
-                state_backend=backend,
-            )
-            for backend in ("array", "kernel")
+        assert "state_backend" not in {
+            f.name for f in dataclasses.fields(FuzzConfig)
         }
-        assert len(keys) == 2
+        with pytest.raises(TypeError):
+            RTLCheck(state_backend="array")
+        with pytest.raises(TypeError):
+            MultiVScale(compile_test(get_test("mp")), "fixed", "array")
+
+    def test_design_without_slot_layout_keeps_own_snapshots(self):
+        """Multi-V-scale-TSO's store buffers are variable-size, so it
+        declares no slot layout and snapshots structurally."""
+        from repro.vscale.tso import MultiVScaleTSO
+
+        design = MultiVScaleTSO(compile_test(get_test("mp")))
+        assert design.enable_array_state() is False
+        assert not design.slot_layout_bound
+        assert design.states_interned == 0
+        design.reset()
+        snap = design.snapshot()
+        assert not isinstance(snap, int)
+        assert design.state_vector(snap) is None

@@ -5,9 +5,7 @@ design's frame-free compiled step and builds one successor per distinct
 grant drawn.  :func:`reference_harvest` below is the wavefront it
 replaced, kept verbatim as a test-only reference: one ``step_batch``
 per distinct interned state per cycle, all four grant successors
-interned, quiescence asked of the design.  It still runs on either
-state backend, so the kernel-equivalence suites compare the harvest
-with it on both.
+interned, quiescence asked of the design.
 
 Two independent checks pin the harvest:
 
@@ -62,12 +60,11 @@ def reference_harvest(
     seed=0,
     max_cycles=DEFAULT_MAX_CYCLES,
     collect_grants=False,
-    state_backend="array",
     compile=compile_test,
 ) -> Harvest:
     """The ``step_batch``/interner wavefront ``harvest_traces`` used to
     run (``compile`` lets a test feed it a hand-broken compile)."""
-    design = MultiVScale(compile(test), memory_variant, state_backend=state_backend)
+    design = MultiVScale(compile(test), memory_variant)
     design.reset()
     input_space = design.input_space()
     start = design.snapshot()
@@ -226,6 +223,18 @@ def test_fetch_past_imem_raises_reference_error(monkeypatch, variant):
     # ... which a campaign records as the trace layer's error.
     verdicts = evaluate_oracles(test, variant, oracles=("trace",))
     assert verdicts.errors == {"trace": str(expected.value)}
+
+
+def test_trace_oracle_harvest_deterministic():
+    """The trace oracle's sampling replays exactly — same (test,
+    variant, seed, samples) → same harvest — and matches the reference
+    wavefront."""
+    first = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
+    second = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
+    assert_same_harvest(first, second)
+    assert_same_harvest(
+        first, reference_harvest(get_test("mp"), "buggy", samples=4, seed=0)
+    )
 
 
 def test_harvest_matches_pin():
