@@ -276,14 +276,6 @@ class Design:
             return self._interner.state(state)
         return None
 
-    def intern_vector(self, vec: Sequence[int]) -> Optional[int]:
-        """Intern a raw slot vector, or ``None`` without a slot layout.
-        Turns compiled-step vectors back into snapshot ids without a
-        restore."""
-        if self.slot_layout_bound:
-            return self._interner.intern(tuple(vec))
-        return None
-
     def drained(self) -> bool:
         """Whether the architectural state can no longer change (the
         default design never drains; subclasses override)."""

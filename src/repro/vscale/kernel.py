@@ -116,7 +116,6 @@ class _KernelSpec:
         self.woff = self.mem_slot0 + len(self.words)  # buggy-only wvalid
         #: owner core id -> absolute slot of its wb_store_data.
         self.sd_off = tuple(base + 8 for base in self.core_bases)
-        self.size = design._slot_layout.size
 
 
 # ----------------------------------------------------------------------
