@@ -12,11 +12,15 @@ metric slowed down by more than the threshold (default 25%).
 
 Raw wall-clock seconds are useless across heterogeneous CI machines,
 so every metric is reported in **calibrated units**: the metric's
-best-of-N seconds divided by the best-of-N seconds of a fixed
-pure-Python calibration workload run in the same process.  A machine
-that is uniformly 2x slower scores the same units; only *relative*
-regressions (an algorithmic or representation change in this repo)
-move the ratio.
+best-of-N seconds (N at least 3, and enough for a short metric's
+repeats to span about a second) divided by the calibration seconds,
+the median of best-of-N runs of a fixed pure-Python calibration
+workload, one run interleaved before each metric in the same process.
+A machine that is uniformly 2x slower scores the same units; only
+*relative* regressions (an algorithmic or representation change in
+this repo) move the ratio.  Interleaving spreads the calibration over the whole
+gate run, so one slow or fast phase of a shared host moves the
+divisor of every metric alike instead of all of them by its luck.
 
 Usage:
 
@@ -36,7 +40,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
+import statistics
 import sys
 import time
 from typing import Callable, Dict, Optional
@@ -48,6 +54,10 @@ sys.path.insert(
 SCHEMA_VERSION = 1
 DEFAULT_THRESHOLD = 0.25
 DEFAULT_REPEATS = 3
+#: A metric shorter than this runs more than ``repeats`` times, enough
+#: for its repeats to span about this long: best-of-3 of a 10 ms or
+#: 100 ms workload swings by more than the threshold on a shared host.
+MIN_MEASURED_SECONDS = 1.0
 
 #: Pinned workloads: small enough for a CI minute, large enough
 #: (hundreds of milliseconds each) that timer noise is negligible.
@@ -304,16 +314,22 @@ def _best_of(fn: Callable[[], None], repeats: int, extra: float = 0.0) -> float:
 
 
 def run_gate(repeats: int, inject_slowdown: Optional[str] = None) -> Dict:
-    calibration = _best_of(_calibration_workload, repeats)
-    metrics = {}
+    calibrations = []
+    seconds_by_metric = {}
     for name, fn in METRICS.items():
+        calibrations.append(_best_of(_calibration_workload, repeats))
         warm_seconds = _best_of(fn, 1)  # one warm-up: imports, caches
         extra = 0.6 * warm_seconds if name == inject_slowdown else 0.0
-        seconds = _best_of(fn, repeats, extra=extra)
-        metrics[name] = {
+        runs = max(repeats, math.ceil(MIN_MEASURED_SECONDS / warm_seconds))
+        seconds_by_metric[name] = _best_of(fn, runs, extra=extra)
+    calibration = statistics.median(calibrations)
+    metrics = {
+        name: {
             "seconds": round(seconds, 4),
             "units": round(seconds / calibration, 4),
         }
+        for name, seconds in seconds_by_metric.items()
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "calibration_seconds": round(calibration, 4),
@@ -365,7 +381,11 @@ def main(argv=None) -> int:
         help="allowed fractional slowdown (default 0.25 = 25%%)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS, help="best-of-N runs"
+        "--repeats",
+        type=int,
+        default=DEFAULT_REPEATS,
+        help="best-of-N runs (more for metrics shorter than "
+        f"{MIN_MEASURED_SECONDS:g} s)",
     )
     parser.add_argument(
         "--inject-slowdown",
