@@ -17,6 +17,7 @@ encoding), and that no option selects a state backend any more.
 
 import dataclasses
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -324,7 +325,9 @@ class TestNoBackendKnob:
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(argv + ["--state-backend", "array"])
             assert excinfo.value.code == 2
-        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "suite", "--state-backend", "array"],
             env=env,
