@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import get_test, paper_suite
+from repro import get_test
 from repro.difftest.generate import FuzzGenerator
 from repro.litmus import compile_test
 from repro.vscale.soc import MultiVScale
@@ -174,35 +174,3 @@ class TestLayoutSharedCode:
         )
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
-
-class TestCompileCache:
-    """The code cache is a bounded LRU whose evictions are invisible: a
-    recompiled step is the same code."""
-
-    def test_lru_evicts_least_recently_used(self):
-        from repro.vscale.kernel import KERNEL_CACHE_SIZE, _Lru
-
-        # A whole suite (56 tests x 2 memory variants) stays cache-hot.
-        assert KERNEL_CACHE_SIZE > 2 * len(paper_suite())
-        lru = _Lru(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1  # refreshes "a"
-        lru.put("c", 3)
-        assert "a" in lru and "c" in lru and "b" not in lru
-        assert len(lru) == 2
-
-    def test_evicted_code_recompiles_identically(self, monkeypatch):
-        from repro.vscale import kernel as vscale_kernel
-
-        monkeypatch.setattr(vscale_kernel, "_CODE_CACHE", vscale_kernel._Lru(1))
-        mp = compile_test(get_test("mp"))
-        first, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
-        # The buggy memory's layout differs, so its step_state (and each
-        # drained) evicts mp's code from the 1-entry cache.
-        vscale_kernel.build_state_step(MultiVScale(mp, "buggy"))
-        assert len(vscale_kernel._CODE_CACHE) == 1
-        again, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
-        assert again.__code__ is not first.__code__
-        assert again.__code__.co_code == first.__code__.co_code
-        assert again.__code__.co_consts == first.__code__.co_consts

@@ -15,7 +15,6 @@ encoding), and that no option selects a state backend any more.
 ``RTLCHECK_GOLDEN_FULL=1``); the subset here keeps CI fast.
 """
 
-import dataclasses
 import json
 import os
 import pickle
@@ -310,10 +309,11 @@ class TestSnapshotRestore:
         assert revived.intern((0, -1)) == a
 
 
-class TestNoBackendKnob:
+class TestBackendSelection:
     """One state representation: no option selects a backend."""
 
-    def test_cli_rejects_state_backend(self):
+    def test_cli_flag(self):
+        """``--state-backend`` is gone from every subcommand."""
         from repro.__main__ import build_parser
 
         for argv in (
@@ -337,16 +337,16 @@ class TestNoBackendKnob:
         assert proc.returncode == 2
         assert "--state-backend" in proc.stderr
 
-    def test_config_objects_take_no_backend(self):
-        from repro.difftest.runner import FuzzConfig
-
-        assert "state_backend" not in {
-            f.name for f in dataclasses.fields(FuzzConfig)
-        }
+    def test_unknown_backend_rejected(self):
+        """RTLCheck and the design take no backend argument at all."""
         with pytest.raises(TypeError):
-            RTLCheck(state_backend="array")
+            RTLCheck(state_backend="linked-list")
         with pytest.raises(TypeError):
             MultiVScale(compile_test(get_test("mp")), "fixed", "array")
+
+
+class TestNoBackendKnob:
+    """Designs without a slot layout keep their own snapshots."""
 
     def test_design_without_slot_layout_keeps_own_snapshots(self):
         """Multi-V-scale-TSO's store buffers are variable-size, so it

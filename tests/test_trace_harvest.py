@@ -225,18 +225,6 @@ def test_fetch_past_imem_raises_reference_error(monkeypatch, variant):
     assert verdicts.errors == {"trace": str(expected.value)}
 
 
-def test_trace_oracle_harvest_deterministic():
-    """The trace oracle's sampling replays exactly — same (test,
-    variant, seed, samples) → same harvest — and matches the reference
-    wavefront."""
-    first = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
-    second = harvest_traces(get_test("mp"), "buggy", samples=4, seed=0)
-    assert_same_harvest(first, second)
-    assert_same_harvest(
-        first, reference_harvest(get_test("mp"), "buggy", samples=4, seed=0)
-    )
-
-
 def test_harvest_matches_pin():
     """Every pinned harvest reproduces its digest bit for bit."""
     document = json.loads(Path(HARVEST_FIXTURE).read_text())
