@@ -16,6 +16,7 @@ Commands
 ``suite [--memory ...] [--config ...] [--jobs N] [--only TEST ...]``
     Verify the 56-test suite (or a subset) with per-test progress
     lines; ``--jobs N`` verifies tests in parallel worker processes.
+    A test that fails even on retry is a failed unit: no verdict, exit 1.
 ``fuzz [--seed N] [--budget N] [--oracles ...] [--jobs N] [--long-programs]``
     Differential litmus fuzzing: generate seeded random tests and
     cross-check the operational, axiomatic, RTL-simulation, verifier,
@@ -37,9 +38,9 @@ Commands
     databases/reports (``merge``).  See ``docs/observability.md``.
 ``serve [--host H] [--port N] [--jobs N] [--cache-dir DIR]``
     Run the verification job server: accepts verify/suite/fuzz jobs as
-    JSON over HTTP, dedupes identical requests via cache keys, shards
-    suite work over a process pool, streams NDJSON progress, and
-    resumes interrupted jobs on restart.  See ``docs/serving.md``.
+    JSON over HTTP, dedupes identical requests via cache keys, runs
+    every job's units on one shared worker pool, streams NDJSON
+    progress, and resumes interrupted jobs on restart.  See ``docs/serving.md``.
 ``submit {suite,verify,fuzz} [--host H] [--port N] ...``
     Submit one job to a running server, stream its progress, and fetch
     the final report (the same schema-versioned document the local CLI
@@ -71,6 +72,7 @@ import argparse
 import sys
 
 from repro import CONFIGS, RTLCheck, get_test, paper_suite
+from repro.executor import DEFAULT_RETRIES, UnitFailure
 from repro.litmus import compile_test
 from repro.memodel import sc_allowed
 from repro.uhb import microarch_observable
@@ -417,15 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="size of the shared worker pool suite jobs shard over "
+        help="size of the worker pool every job's units share "
         "(default: 2)",
     )
     serve.add_argument(
         "--retries",
         type=int,
-        default=1,
+        default=DEFAULT_RETRIES,
         metavar="N",
-        help="bounded per-unit retries after a worker crash (default: 1)",
+        help="bounded per-unit retries after a worker crash "
+        f"(default: {DEFAULT_RETRIES})",
     )
     serve.add_argument(
         "--cache-dir",
@@ -589,12 +592,12 @@ def _wants_coverage(args) -> bool:
     )
 
 
-def _emit_observability(args, results, jobs=None, cache=None):
+def _emit_observability(args, results, jobs=None, cache=None, failed=()):
     """Write the report/trace files and print counters as requested.
 
     Called on every exit path — a bug-finding run still produces its
-    full report before the command returns non-zero.  ``cache``, when
-    given, contributes its statistics snapshot as the report's
+    full report before the command returns non-zero, and ``failed``
+    units are listed in it.  ``cache``, when given, contributes its statistics snapshot as the report's
     top-level ``"cache"`` key and a ``--metrics`` section.  Returns the
     closure report (or ``None``) so callers can persist it.
     """
@@ -617,6 +620,7 @@ def _emit_observability(args, results, jobs=None, cache=None):
                 jobs=jobs,
                 cache=None if cache is None else cache.stats.snapshot(),
                 coverage=closure,
+                failed=failed,
             ),
         )
         print(f"wrote run report to {args.report}")
@@ -710,19 +714,24 @@ def cmd_suite(args) -> int:
     total = len(tests)
     done = [0]
 
-    def progress(result):
+    def on_unit(name, result, _cached):
         done[0] += 1
-        print(f"[{done[0]}/{total}] {result.summary()}", flush=True)
+        failed = isinstance(result, UnitFailure)
+        line = f"{name}: FAILED ({result.error})" if failed else result.summary()
+        print(f"[{done[0]}/{total}] {line}", flush=True)
 
     results = rtlcheck.verify_suite(
-        tests, memory_variant=args.memory, jobs=args.jobs, progress=progress
+        tests, memory_variant=args.memory, jobs=args.jobs, on_unit=on_unit
     )
-    failures = sum(results[test.name].bug_found for test in tests)
+    failures = sum(result.bug_found for result in results.values())
     if cache is not None:
-        print(f"cache: {cache.stats.summary()}")
+        resumed = f", resumed {results.resumed}/{total}" if results.resumed else ""
+        print(f"cache: {cache.stats.summary()}{resumed}")
     # Observability artifacts are written before the exit code is
     # decided, so bug-finding runs still produce their full report.
-    closure = _emit_observability(args, results, jobs=args.jobs, cache=cache)
+    closure = _emit_observability(
+        args, results, jobs=args.jobs, cache=cache, failed=results.failed
+    )
     if closure is not None and cache is not None:
         from repro.obs.coverage import (
             CoverageDB,
@@ -743,7 +752,9 @@ def cmd_suite(args) -> int:
         print(f"coverage database updated: {db.path}")
     if failures:
         print(f"\n{failures} tests produced counterexamples")
-    return 1 if failures else 0
+    if results.failed:
+        print(f"\n{len(results.failed)} tests failed without a verdict")
+    return 1 if failures or results.failed else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -877,7 +888,7 @@ def cmd_cache(args) -> int:
         print(f"{'total':10s} {total['entries']:>8d} {total['bytes']:>12d}")
         checkpoints = cache.root / "checkpoints"
         manifests = (
-            len([p for p in checkpoints.glob("*.json")])
+            len([p for p in checkpoints.glob("*.jsonl")])
             if checkpoints.is_dir()
             else 0
         )

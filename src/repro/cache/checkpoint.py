@@ -1,25 +1,19 @@
-"""Checkpoint/resume manifests for long suite and fuzz campaigns.
+"""Checkpoint/resume journals for long suite and fuzz campaigns.
 
-A manifest is a small JSON file under ``<cache root>/checkpoints/``
-recording which units of a campaign have completed.  The heavy lifting
-of a warm restart is done by the artifact tiers — a completed unit's
-verdict (or oracle outcome set) is already on disk under its content
-key — so the manifest's job is bookkeeping: it identifies the campaign
-(by the digest of its full input set), counts what was resumed, and
-lets an interrupted run report "restarted warm: k/N units" instead of
-silently recomputing.
-
-The manifest is rewritten atomically after every completed unit, so a
-``kill -9`` loses at most the in-flight unit.  A manifest whose
-campaign key does not match (the inputs or the code changed) is reset
-rather than trusted — resume never overrides content addressing.
+A checkpoint is an append-only JSON-lines file under
+``<cache root>/checkpoints/``: a header naming the campaign (the digest
+of its full input set), one ``{"done": unit}`` line per completed unit,
+and ``{"complete": true}`` at the end.  It is bookkeeping — a completed
+unit's verdict is already on disk under its content key — that counts
+what a restart resumed.  Lines are appended as units complete, so a
+``kill -9`` loses at most the in-flight unit; a torn last line is cut
+off on load, and another campaign's journal is reset, never trusted.
+See ``docs/caching.md``.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import List, Optional
 
@@ -34,64 +28,74 @@ class CheckpointManifest:
         self.path = Path(path)
         self.campaign = campaign
         self.total = total
+        #: Completed units, in completion order.
         self.completed: List[str] = []
+        self._done = set()
         self.complete = False
-        self._load()
+        self._header = {
+            "kind": CHECKPOINT_KIND,
+            "format": CACHE_FORMAT_VERSION,
+            "campaign": campaign,
+        }
+        #: No journal of this campaign on disk yet: the first append
+        #: (re)writes the file, starting with the header.
+        self._fresh = not self._load()
         #: Units already completed when this run attached (what a
         #: restart resumes rather than recomputes).
         self.resumed = len(self.completed)
 
-    def _load(self) -> None:
+    def _load(self) -> bool:
+        """Read this campaign's journal; ``False`` if there is none."""
         try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return
-        if (
-            data.get("kind") != CHECKPOINT_KIND
-            or data.get("format") != CACHE_FORMAT_VERSION
-            or data.get("campaign") != self.campaign
-        ):
-            return  # stale manifest: start fresh, content keys decide
-        self.completed = [str(u) for u in data.get("completed", [])]
-        self.complete = bool(data.get("complete"))
-        if self.total is None:
-            self.total = data.get("total")
-
-    def _flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "kind": CHECKPOINT_KIND,
-            "format": CACHE_FORMAT_VERSION,
-            "campaign": self.campaign,
-            "total": self.total,
-            "completed": self.completed,
-            "complete": self.complete,
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-        except BaseException:
+            data = self.path.read_bytes()
+        except OSError:
+            return False
+        end = data.rfind(b"\n") + 1
+        if end < len(data):  # a torn last line: cut it off
+            with open(self.path, "r+b") as handle:
+                handle.truncate(end)
+        records = []
+        for line in data[:end].splitlines():
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        os.replace(tmp, self.path)
+                records.append(dict(json.loads(line)))
+            except (ValueError, TypeError):
+                continue
+        header = self._header
+        if not records or {k: records[0].get(k) for k in header} != header:
+            return False
+        if self.total is None:
+            self.total = records[0].get("total")
+        for record in records[1:]:
+            if "done" in record:
+                self._add(str(record["done"]))
+            self.complete = self.complete or bool(record.get("complete"))
+        return True
+
+    def _add(self, unit: str) -> bool:
+        if unit in self._done:
+            return False
+        self._done.add(unit)
+        self.completed.append(unit)
+        return True
+
+    def _append(self, record) -> None:
+        records = [record]
+        if self._fresh:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            records.insert(0, dict(self._header, total=self.total))
+        with open(self.path, "w" if self._fresh else "a") as handle:
+            handle.write("".join(json.dumps(r) + "\n" for r in records))
+        self._fresh = False
 
     # ------------------------------------------------------------------
 
-    def is_done(self, unit: str) -> bool:
-        return unit in self.completed
-
     def mark_done(self, unit: str) -> None:
-        """Record one completed unit (idempotent) and flush to disk."""
-        unit = str(unit)
-        if unit not in self.completed:
-            self.completed.append(unit)
-            self._flush()
+        """Record one completed unit (idempotent) and flush it to disk."""
+        if self._add(str(unit)):
+            self._append({"done": str(unit)})
 
     def finish(self) -> None:
-        """Mark the whole campaign complete."""
-        self.complete = True
-        self._flush()
+        """Mark the whole campaign complete (idempotent)."""
+        if not self.complete:
+            self.complete = True
+            self._append({"complete": True})

@@ -9,7 +9,7 @@ by the first two hex digits of the entry key —
   graphs/cd/<key>.pkl       pickled shared ReachGraphs
   nfas/ef/<key>.pkl         pickled compiled PropertyMonitors
   oracles/01/<key>.json     difftest oracle outcome sets
-  checkpoints/<key>.json    campaign manifests (resume bookkeeping)
+  checkpoints/<key>.jsonl   campaign journals (resume bookkeeping)
 ```
 
 Design rules, all load-bearing:
@@ -384,11 +384,11 @@ class VerificationCache:
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self, campaign: str, total: Optional[int] = None):
-        """The resume manifest for campaign ``campaign`` (created on
+        """The resume journal for campaign ``campaign`` (created on
         first use)."""
         from repro.cache.checkpoint import CheckpointManifest
 
-        path = self.root / "checkpoints" / f"{campaign}.json"
+        path = self.root / "checkpoints" / f"{campaign}.jsonl"
         return CheckpointManifest(path, campaign, total=total)
 
     # -- maintenance (the ``python -m repro cache`` surface) ------------

@@ -26,16 +26,17 @@ per-test counters regardless of job count.
 
 from __future__ import annotations
 
+import copy
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro import obs
 from repro.core.assertions import AssertionGenerator
 from repro.core.results import PropertyResult, TestVerification
 from repro.errors import ReproError
+from repro.executor import Executor, UnitFailure
 from repro.litmus.test import CompiledTest, LitmusTest, compile_test
 from repro.mapping.node_mapping import MultiVScaleNodeMapping
 from repro.mapping.program_mapping import MultiVScaleProgramMapping
@@ -71,17 +72,18 @@ def _multi_vscale_tso_design_factory(compiled, variant):
 
 
 def _verify_suite_worker(rtlcheck: "RTLCheck", test, memory_variant):
-    """Module-level task body for the suite process pool.
+    """Module-level unit body of :meth:`RTLCheck.verify_suite`.
 
-    Returns ``(result, cache_stats_delta)`` — workers hold their own
-    :class:`~repro.cache.VerificationCache` copy (same on-disk root,
-    zeroed statistics), so the parent merges the deltas by summation.
+    Returns ``(result, cache_stats_delta)``: the unit verifies with its
+    own cache copy (same root, zeroed statistics), so the parent merges
+    the deltas by summation, whether the unit ran in-process or not.
     """
+    if rtlcheck.cache is None:
+        return rtlcheck.verify_test(test, memory_variant), None
+    rtlcheck = copy.copy(rtlcheck)
+    rtlcheck.cache = copy.copy(rtlcheck.cache)
     result = rtlcheck.verify_test(test, memory_variant)
-    stats = None
-    if rtlcheck.cache is not None:
-        stats = rtlcheck.cache.stats.snapshot()
-    return result, stats
+    return result, rtlcheck.cache.stats.snapshot()
 
 
 @dataclass
@@ -525,18 +527,24 @@ class RTLCheck:
         jobs: int = 1,
         progress: Optional[Callable[[TestVerification], None]] = None,
         checkpoint: bool = True,
-    ) -> Dict[str, TestVerification]:
+        executor: Optional[Executor] = None,
+        on_unit: Optional[Callable[[str, Any, bool], None]] = None,
+    ) -> "SuiteResults":
         """Verify a suite; returns results keyed by test name, in suite
-        order.  ``jobs > 1`` fans tests out over a process pool (tests
-        are fully independent).  ``progress``, when given, is called
-        with each :class:`TestVerification` as it completes — in
-        completion order for parallel runs.
+        order.  Each test is one unit of ``executor`` (default
+        ``Executor(jobs)``; ``jobs > 1`` fans out over a process pool).
+        A test that runs out of retries yields no verdict: it is listed
+        in the result's ``failed`` instead, and never checkpointed.
 
-        With a cache attached, cached verdicts are fetched in the
-        parent before any worker is spawned (a fully-warm run never
-        touches the process pool), and — unless ``checkpoint=False`` —
-        a resume manifest is rewritten after every completed test, so
-        an interrupted campaign restarts from the last finished unit.
+        ``progress`` is called with each :class:`TestVerification` as
+        it completes (completion order for parallel runs); ``on_unit``
+        gets the executor's whole stream, ``(name, result or
+        UnitFailure, cached)``.  With a cache attached, cached verdicts
+        are fetched in the parent before any unit is dispatched (a
+        fully-warm run never creates a pool), and — unless
+        ``checkpoint=False`` — each completed test is appended to the
+        campaign's checkpoint journal, so an interrupted campaign
+        restarts from the last finished unit.
         """
         seen = set()
         for test in tests:
@@ -546,77 +554,86 @@ class RTLCheck:
                     "are keyed by name, a duplicate would be dropped"
                 )
             seen.add(test.name)
-        manifest = None
-        if self.cache is not None and checkpoint:
+        results = SuiteResults()
+        manifest = lookup = None
+        if self.cache is not None:
             from repro.cache import keys as cache_keys
 
-            campaign = cache_keys.campaign_key(
-                "suite",
-                {
-                    "memory_variant": memory_variant,
-                    "observe": self.observe,
-                    "verdicts": [
-                        self.verdict_key(test, memory_variant)
-                        for test in tests
-                    ],
-                },
-            )
-            manifest = self.cache.checkpoint(campaign, total=len(tests))
-        results: Dict[str, TestVerification] = {}
-        pending = list(tests)
-        if jobs > 1 and len(tests) > 1:
-            try:
-                pickle.dumps(self)
-            except Exception as exc:
-                raise ReproError(
-                    "verify_suite(jobs>1) needs a picklable RTLCheck; "
-                    "custom factories must be module-level callables "
-                    f"({exc})"
-                ) from exc
-            if self.cache is not None:
-                # Parent-side prefetch: verdict-tier hits skip process
-                # pool dispatch entirely.
-                pending = []
-                for test in tests:
-                    cached = self.cache.load_verdict(
-                        self.verdict_key(test, memory_variant),
-                        observe=self.observe,
-                        coverage=self.coverage,
-                        record_miss=False,
-                    )
-                    if cached is None:
-                        pending.append(test)
-                        continue
-                    results[test.name] = cached
-                    if manifest is not None:
-                        manifest.mark_done(test.name)
-                    if progress is not None:
-                        progress(cached)
-        if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(
-                        _verify_suite_worker, self, test, memory_variant
-                    ): test.name
-                    for test in pending
-                }
-                for future in as_completed(futures):
-                    result, stats = future.result()
-                    results[futures[future]] = result
-                    if self.cache is not None and stats:
-                        self.cache.stats.merge(stats)
-                    if manifest is not None:
-                        manifest.mark_done(futures[future])
-                    if progress is not None:
-                        progress(result)
-        else:
-            for test in pending:
-                result = self.verify_test(test, memory_variant)
-                results[test.name] = result
-                if manifest is not None:
-                    manifest.mark_done(test.name)
+            keys = {
+                test.name: self.verdict_key(test, memory_variant)
+                for test in tests
+            }
+            if checkpoint:
+                campaign = cache_keys.campaign_key(
+                    "suite",
+                    {
+                        "memory_variant": memory_variant,
+                        "observe": self.observe,
+                        "verdicts": list(keys.values()),
+                    },
+                )
+                manifest = self.cache.checkpoint(campaign, total=len(tests))
+                results.resumed = manifest.resumed
+
+            def lookup(name):
+                cached = self.cache.load_verdict(
+                    keys[name],
+                    observe=self.observe,
+                    coverage=self.coverage,
+                    record_miss=False,
+                )
+                return None if cached is None else (cached, None)
+
+        def unit_done(name, outcome, cached):
+            if not isinstance(outcome, UnitFailure):
+                outcome, stats = outcome
+                if stats:
+                    self.cache.stats.merge(stats)
                 if progress is not None:
-                    progress(result)
-        if manifest is not None:
+                    progress(outcome)
+            if on_unit is not None:
+                on_unit(name, outcome, cached)
+
+        owned = executor is None
+        if owned:
+            executor = Executor(jobs)
+        try:
+            if executor.jobs > 1 and len(tests) > 1:
+                try:
+                    pickle.dumps(self)
+                except Exception as exc:
+                    raise ReproError(
+                        "verify_suite(jobs>1) needs a picklable RTLCheck; "
+                        "custom factories must be module-level callables "
+                        f"({exc})"
+                    ) from exc
+            outcomes = executor.run(
+                _verify_suite_worker,
+                [(test.name, (self, test, memory_variant)) for test in tests],
+                lookup=lookup,
+                progress=unit_done,
+                journal=manifest,
+            )
+        finally:
+            if owned:
+                executor.shutdown()
+        for test, outcome in zip(tests, outcomes):
+            if isinstance(outcome, UnitFailure):
+                results.failed.append(outcome)
+            else:
+                results[test.name] = outcome[0]
+        if manifest is not None and not results.failed:
             manifest.finish()
-        return {test.name: results[test.name] for test in tests}
+        return results
+
+
+class SuiteResults(dict):
+    """What :meth:`RTLCheck.verify_suite` returns: verdicts keyed by
+    test name, in suite order.  ``failed`` lists the tests that got none
+    (:class:`~repro.executor.UnitFailure` records, in suite order), and
+    ``resumed`` counts those the checkpoint journal already held."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed: List[UnitFailure] = []
+        self.resumed = 0

@@ -14,11 +14,8 @@ Determinism contract (the whole point of a *seeded* fuzzer):
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import os
 
 from repro import obs
 from repro.difftest.compare import Discrepancy, cross_check
@@ -34,6 +31,7 @@ from repro.difftest.shrink import (
     shrink_test,
 )
 from repro.errors import ReproError
+from repro.executor import Executor, UnitFailure
 from repro.litmus.test import LitmusTest
 from repro.verifier.outcomes import DEFAULT_MAX_STATES
 
@@ -81,20 +79,10 @@ class FuzzConfig:
     #: directory's ``coverage/coverage.json`` when a cache is attached;
     #: without either, the campaign map is not persisted.
     coverage_db: Optional[str] = None
-    #: In-parent retries after a worker crash before the test is
-    #: recorded under the ``crashed`` contract.  Execution policy like
-    #: ``jobs`` — never part of the campaign key, and 0 (the default)
-    #: preserves the record-only behavior.  The job server sets this
-    #: so one flaky worker death cannot fail a long campaign.
-    crash_retries: int = 0
 
     def __post_init__(self):
         if self.budget < 0:
             raise ReproError(f"budget must be >= 0, got {self.budget}")
-        if self.crash_retries < 0:
-            raise ReproError(
-                f"crash_retries must be >= 0, got {self.crash_retries}"
-            )
         if self.jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {self.jobs}")
         if self.memory_variant not in ("fixed", "buggy"):
@@ -184,18 +172,6 @@ class FuzzResult:
         return fuzz_report(self)
 
 
-#: Test-crash injection hook for the worker-crash regression tests:
-#: when set to a test name, the worker raises a non-ReproError for that
-#: test.  An environment variable (not a monkeypatch) because pool
-#: workers live in separate processes.
-CRASH_TEST_ENV = "REPRO_DIFFTEST_CRASH_TEST"
-
-#: One-shot crash injection for the *retry* regression tests: the value
-#: is ``"<test>:<path>"``, and the worker raises for ``<test>`` only
-#: while ``<path>`` exists, unlinking it first — so the first attempt
-#: crashes deterministically and a bounded retry succeeds.
-CRASH_ONCE_ENV = "REPRO_DIFFTEST_CRASH_ONCE"
-
 #: Batch size of the coverage campaign loop.  Fixed (never derived from
 #: ``--jobs``) so the generated test stream — including every guided
 #: scheduling decision, which can only see feedback from *previous*
@@ -214,17 +190,9 @@ def _fuzz_worker(
     trace_seed=0,
     coverage=False,
 ):
-    """Module-level task body for the fuzz process pool: evaluate one
-    test, cross-check, and ship everything picklable back (including
-    this evaluation's cache-statistics delta, merged by the parent)."""
-    if os.environ.get(CRASH_TEST_ENV) == test.name:
-        raise RuntimeError(f"injected worker crash on {test.name}")
-    once = os.environ.get(CRASH_ONCE_ENV)
-    if once:
-        target, _, path = once.partition(":")
-        if target == test.name and path and os.path.exists(path):
-            os.unlink(path)
-            raise RuntimeError(f"injected one-shot worker crash on {test.name}")
+    """Module-level unit body of a fuzz campaign: evaluate one test,
+    cross-check, and ship everything picklable back (including this
+    evaluation's cache-statistics delta, merged by the parent)."""
     cache = None
     if cache_dir is not None:
         from repro.cache import VerificationCache
@@ -283,41 +251,6 @@ def _fuzz_worker(
     }
 
 
-def _crash_outcome(exc: BaseException) -> Dict:
-    """Worker-crash placeholder outcome: the campaign records the crash
-    as a per-test error (with a ``crashed`` marker) and keeps going —
-    one broken worker must not kill a long campaign."""
-    return {
-        "error": f"worker crashed: {exc!r}",
-        "crashed": True,
-        "summary": None,
-        "discrepancies": [],
-        "rtl_incomplete": False,
-        "obs": None,
-        "cache_stats": None,
-    }
-
-
-def _retry_outcome(
-    config: FuzzConfig, args: Tuple, exc: BaseException
-) -> Tuple[Dict, Optional[BaseException]]:
-    """Bounded in-parent re-evaluation after a worker crash.
-
-    Returns ``(outcome, crash_exc)``: ``crash_exc`` is ``None`` when a
-    retry succeeded (the caller may checkpoint the unit) and the last
-    exception when retries were exhausted (the outcome then carries the
-    ``crashed`` contract, and the unit stays unchecked so a resumed run
-    retries it again).
-    """
-    last = exc
-    for _ in range(config.crash_retries):
-        try:
-            return _fuzz_worker(*args), None
-        except Exception as retry_exc:
-            last = retry_exc
-    return _crash_outcome(last), last
-
-
 def _tally(tally: Dict[str, int], summary: Dict) -> None:
     op = summary.get("operational")
     if op is not None:
@@ -347,22 +280,26 @@ def _process_outcome(
     index: int,
     outcome: Dict,
 ) -> None:
-    """Fold one evaluated test's worker outcome into the campaign
-    result (always called in index order, whatever the completion
-    order was)."""
+    """Fold one evaluated test's worker outcome (or its
+    :class:`~repro.executor.UnitFailure`) into the campaign result
+    (always called in index order, whatever the completion order
+    was)."""
     result.tests_run += 1
+    if isinstance(outcome, UnitFailure):
+        error = f"worker crashed: {outcome.error}"
+        result.oracle_errors.append(dict(outcome.to_dict(), index=index, error=error))
+        result.skipped["worker_crashed"] = (
+            result.skipped.get("worker_crashed", 0) + 1
+        )
+        return
     if outcome["obs"] is not None:
         obs_states.append(outcome["obs"])
     if cache is not None and outcome.get("cache_stats"):
         cache.stats.merge(outcome["cache_stats"])
     if outcome["error"] is not None:
-        entry = {"test": test.name, "index": index, "error": outcome["error"]}
-        if outcome.get("crashed"):
-            entry["crashed"] = True
-            result.skipped["worker_crashed"] = (
-                result.skipped.get("worker_crashed", 0) + 1
-            )
-        result.oracle_errors.append(entry)
+        result.oracle_errors.append(
+            {"test": test.name, "index": index, "error": outcome["error"]}
+        )
         return
     summary = outcome["summary"]
     result.verdicts[test.name] = summary
@@ -404,15 +341,14 @@ def _run_coverage_campaign(
     result: FuzzResult,
     generator: FuzzGenerator,
     oracles_for,
-    worker_args,
+    run_units,
     cache,
-    manifest,
     progress,
     obs_states: List[Dict],
 ) -> None:
     """The coverage-collecting campaign loop: fixed-size batches,
-    evaluated (possibly in parallel) then folded in strict stream
-    order, so the campaign map, the novelty sequence, and every guided
+    evaluated by ``run_units`` (possibly in parallel) then folded in
+    strict stream order, so the campaign map, the novelty sequence, and every guided
     scheduling decision are deterministic in ``(seed, budget)``
     whatever ``--jobs`` is."""
     from repro.difftest.schedule import CoverageScheduler
@@ -436,90 +372,50 @@ def _run_coverage_campaign(
             # (seed, budget) functions).
             scheduler.load_corpus(CoverageDB(db_path).load().get("corpus", []))
 
-    pool = None
     produced = 0
     new_cumulative = 0
-    try:
-        if config.jobs > 1 and config.budget > 1:
-            pool = ProcessPoolExecutor(max_workers=config.jobs)
-        while produced < config.budget:
-            size = min(_COVERAGE_ROUND, config.budget - produced)
+    while produced < config.budget:
+        size = min(_COVERAGE_ROUND, config.budget - produced)
+        if scheduler is not None:
+            batch = scheduler.next_batch(size)
+        else:
+            batch = [generator.test_at(produced + i) for i in range(size)]
+        outcomes = run_units(batch)
+        for slot, (test, outcome) in enumerate(zip(batch, outcomes)):
+            index = produced + slot
+            if oracles_for(test) != config.oracles:
+                result.skipped["long_program"] = (
+                    result.skipped.get("long_program", 0) + 1
+                )
+            state = None
+            if not isinstance(outcome, UnitFailure) and outcome["obs"]:
+                state = outcome["obs"].get("coverage")
+            delta = CoverageMap.from_state(state)
+            if "verifier" not in oracles_for(test):
+                # The verifier-side flush point never ran for this
+                # test (trace-only routing): record its shape features
+                # parent-side so long programs still count in the shape
+                # domain.
+                for feature in shape_features(test):
+                    delta.add("shape", feature)
+            meta = generator.meta.get(test.name)
+            if meta:
+                delta.add("shape", f"mode:{meta['mode']}")
+                for edge in meta.get("cycle", ()):
+                    delta.add("shape", f"cycle:{edge}")
+            novelty = coverage_map.count_new(delta)
+            coverage_map.merge(delta)
+            new_total = sum(novelty.values())
+            result.novelty.append(new_total)
+            new_cumulative += new_total
             if scheduler is not None:
-                batch = scheduler.next_batch(size)
-            else:
-                batch = [
-                    generator.test_at(produced + i) for i in range(size)
-                ]
-            batch_outcomes: Dict[int, Dict] = {}
-            if pool is not None and size > 1:
-                futures = {
-                    pool.submit(_fuzz_worker, *worker_args(test)): slot
-                    for slot, test in enumerate(batch)
-                }
-                for future in as_completed(futures):
-                    slot = futures[future]
-                    try:
-                        batch_outcomes[slot] = future.result()
-                    except Exception as exc:
-                        batch_outcomes[slot], crashed = _retry_outcome(
-                            config, worker_args(batch[slot]), exc
-                        )
-                        if crashed is not None:
-                            continue
-                    if manifest is not None:
-                        manifest.mark_done(str(produced + slot))
-            else:
-                for slot, test in enumerate(batch):
-                    try:
-                        batch_outcomes[slot] = _fuzz_worker(
-                            *worker_args(test)
-                        )
-                    except Exception as exc:
-                        batch_outcomes[slot], crashed = _retry_outcome(
-                            config, worker_args(test), exc
-                        )
-                        if crashed is not None:
-                            continue
-                    if manifest is not None:
-                        manifest.mark_done(str(produced + slot))
-            for slot, test in enumerate(batch):
-                outcome = batch_outcomes[slot]
-                index = produced + slot
-                if oracles_for(test) != config.oracles:
-                    result.skipped["long_program"] = (
-                        result.skipped.get("long_program", 0) + 1
-                    )
-                delta = CoverageMap.from_state(
-                    (outcome.get("obs") or {}).get("coverage")
-                )
-                if "verifier" not in oracles_for(test):
-                    # The verifier-side flush point never ran for this
-                    # test (trace-only routing): record its shape
-                    # features parent-side so long programs still count
-                    # in the shape domain.
-                    for feature in shape_features(test):
-                        delta.add("shape", feature)
-                meta = generator.meta.get(test.name)
-                if meta:
-                    delta.add("shape", f"mode:{meta['mode']}")
-                    for edge in meta.get("cycle", ()):
-                        delta.add("shape", f"cycle:{edge}")
-                novelty = coverage_map.count_new(delta)
-                coverage_map.merge(delta)
-                new_total = sum(novelty.values())
-                result.novelty.append(new_total)
-                new_cumulative += new_total
-                if scheduler is not None:
-                    scheduler.feedback(test, novelty)
-                _process_outcome(
-                    config, result, cache, obs_states, test, index, outcome
-                )
-                if progress is not None:
-                    progress(index, test.name, new_cumulative)
-            produced += size
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                scheduler.feedback(test, novelty)
+            _process_outcome(
+                config, result, cache, obs_states, test, index, outcome
+            )
+            if progress is not None:
+                progress(index, test.name, new_cumulative)
+        produced += size
 
     result.coverage = coverage_map.to_state()
     if db_path is not None:
@@ -541,8 +437,13 @@ def _run_coverage_campaign(
 def run_fuzz(
     config: FuzzConfig,
     progress: Optional[Callable[..., None]] = None,
+    executor: Optional[Executor] = None,
 ) -> FuzzResult:
     """Run one differential fuzz campaign.
+
+    Each test is one unit of ``executor`` (default
+    ``Executor(config.jobs)``); one that runs out of retries is recorded
+    as a ``crashed`` oracle error and is not checkpointed.
 
     ``progress``, when given, is called with ``(index, test_name)`` as
     each test's evaluation completes (completion order under ``jobs >
@@ -620,70 +521,46 @@ def run_fuzz(
             config.coverage,
         )
 
+    def run_units(batch: List[LitmusTest], on_unit=None) -> List:
+        return executor.run(
+            _fuzz_worker,
+            [(test.name, worker_args(test)) for test in batch],
+            progress=on_unit,
+            journal=manifest,
+        )
+
     obs_states: List[Dict] = []
-    with obs.span("fuzz.evaluate", jobs=config.jobs):
-        if config.coverage:
-            _run_coverage_campaign(
-                config,
-                result,
-                generator,
-                oracles_for,
-                worker_args,
-                cache,
-                manifest,
-                progress,
-                obs_states,
-            )
-        elif config.jobs > 1 and len(tests) > 1:
-            outcomes: Dict[int, Dict] = {}
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {
-                    pool.submit(_fuzz_worker, *worker_args(test)): index
-                    for index, test in enumerate(tests)
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        outcomes[index] = future.result()
-                    except Exception as exc:
-                        # A non-ReproError escape killed the worker.
-                        # Retry in-parent up to ``crash_retries`` times;
-                        # an exhausted unit is recorded per-test and NOT
-                        # marked done in the checkpoint manifest, so a
-                        # resumed run retries it.
-                        outcomes[index], crashed = _retry_outcome(
-                            config, worker_args(tests[index]), exc
-                        )
-                        if crashed is None and manifest is not None:
-                            manifest.mark_done(str(index))
-                    else:
-                        if manifest is not None:
-                            manifest.mark_done(str(index))
+    owned = executor is None
+    if owned:
+        executor = Executor(config.jobs)
+    try:
+        with obs.span("fuzz.evaluate", jobs=config.jobs):
+            if config.coverage:
+                _run_coverage_campaign(
+                    config,
+                    result,
+                    generator,
+                    oracles_for,
+                    run_units,
+                    cache,
+                    progress,
+                    obs_states,
+                )
+            else:
+                index_of = {test.name: index for index, test in enumerate(tests)}
+
+                def on_unit(name, _outcome, _cached):
                     if progress is not None:
-                        progress(index, tests[index].name)
-            for index, test in enumerate(tests):
-                _process_outcome(
-                    config, result, cache, obs_states, test, index,
-                    outcomes[index],
-                )
-        else:
-            for index, test in enumerate(tests):
-                try:
-                    outcome = _fuzz_worker(*worker_args(test))
-                except Exception as exc:
-                    outcome, crashed = _retry_outcome(
-                        config, worker_args(test), exc
+                        progress(index_of[name], name)
+
+                outcomes = run_units(tests, on_unit)
+                for index, outcome in enumerate(outcomes):
+                    _process_outcome(
+                        config, result, cache, obs_states, tests[index], index, outcome
                     )
-                    if crashed is None and manifest is not None:
-                        manifest.mark_done(str(index))
-                else:
-                    if manifest is not None:
-                        manifest.mark_done(str(index))
-                if progress is not None:
-                    progress(index, test.name)
-                _process_outcome(
-                    config, result, cache, obs_states, test, index, outcome
-                )
+    finally:
+        if owned:
+            executor.shutdown()
 
     if config.shrink and result.discrepancies:
         with obs.span("fuzz.shrink", limit=config.shrink_limit):
@@ -698,7 +575,7 @@ def run_fuzz(
         result.counters = dict(obs.merge_states(obs_states).counters)
     if cache is not None:
         result.cache_stats = cache.stats.snapshot()
-    if manifest is not None:
+    if manifest is not None and not result.skipped.get("worker_crashed"):
         manifest.finish()
 
     result.wall_seconds = time.perf_counter() - t0

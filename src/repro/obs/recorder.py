@@ -30,7 +30,7 @@ Two recorders implement the sink:
   :meth:`TraceRecorder.merge_state` as plain picklable dicts, which is
   how worker processes ship their recordings back to the suite parent.
 
-The current recorder is a module-level binding manipulated with
+The current recorder is a per-thread binding manipulated with
 :func:`set_recorder` / :func:`use_recorder`; instrumented code reaches
 it through the module-level :func:`span` / :func:`count` /
 :func:`gauge` helpers or :func:`get_recorder`.
@@ -38,6 +38,7 @@ it through the module-level :func:`span` / :func:`count` /
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
@@ -224,19 +225,27 @@ def merge_states(states: Iterable[Mapping[str, Any]]) -> TraceRecorder:
 # -- the current recorder ---------------------------------------------------
 
 NULL_RECORDER = NullRecorder()
-_current: Any = NULL_RECORDER
+
+
+class _Installed(threading.local):
+    """The installed recorder, per thread (the job server runs
+    campaigns in threads of one process)."""
+
+    recorder: Any = NULL_RECORDER
+
+
+_installed = _Installed()
 
 
 def get_recorder():
     """The recorder instrumentation is currently writing to."""
-    return _current
+    return _installed.recorder
 
 
 def set_recorder(recorder) -> Any:
-    """Install ``recorder``; returns the previously installed one."""
-    global _current
-    previous = _current
-    _current = recorder
+    """Install ``recorder`` (per thread); returns the previous one."""
+    previous = _installed.recorder
+    _installed.recorder = recorder
     return previous
 
 
@@ -252,14 +261,14 @@ def use_recorder(recorder) -> Iterator[Any]:
 
 def span(name: str, **args):
     """Open a span on the current recorder (context manager)."""
-    return _current.span(name, **args)
+    return _installed.recorder.span(name, **args)
 
 
 def count(name: str, value: int = 1) -> None:
     """Bump a counter on the current recorder."""
-    _current.count(name, value)
+    _installed.recorder.count(name, value)
 
 
 def gauge(name: str, value: float) -> None:
     """Set a gauge on the current recorder."""
-    _current.gauge(name, value)
+    _installed.recorder.gauge(name, value)

@@ -135,6 +135,7 @@ def suite_report(
     jobs: Optional[int] = None,
     cache: Optional[Mapping[str, float]] = None,
     coverage: Optional[Mapping[str, Any]] = None,
+    failed: Iterable[Any] = (),
 ) -> Dict[str, Any]:
     """Assemble the run report for ``results`` (name ->
     :class:`~repro.core.results.TestVerification`, as returned by
@@ -147,6 +148,11 @@ def suite_report(
     *outside* ``aggregates`` and do not participate in the
     aggregate-equals-sum invariant — the ``tests`` array of a fully-warm
     run is byte-identical to the cold run that populated the cache.
+
+    ``failed`` holds the units that ran out of retries
+    (:class:`~repro.executor.UnitFailure`); having no verdict, they are
+    listed under a top-level ``"failed"`` key, present only when
+    non-empty, outside ``tests`` and ``aggregates``.
     """
     ordered = list(results.values())
     test_dicts = [result.to_dict() for result in ordered]
@@ -169,6 +175,9 @@ def suite_report(
         # The closure report document; like "cache", it lives outside
         # ``aggregates`` and the aggregate-equals-sum invariant.
         report["coverage"] = dict(coverage)
+    failed = [failure.to_dict() for failure in failed]
+    if failed:
+        report["failed"] = failed
     return report
 
 
@@ -221,6 +230,12 @@ def validate_report(report: Mapping[str, Any]) -> List[str]:
                 f"test {test.get('test')!r} snapshot schema_version "
                 f"{test.get('schema_version')!r} != {SCHEMA_VERSION}"
             )
+    verdicts = {test.get("test") for test in tests}
+    for entry in report.get("failed", []):
+        if not isinstance(entry, dict) or entry.get("crashed") is not True:
+            errors.append(f"malformed failed unit {entry!r}")
+        elif entry.get("test") in verdicts or "error" not in entry:
+            errors.append(f"failed unit {entry!r} has a verdict or no error")
     return errors
 
 

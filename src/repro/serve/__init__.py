@@ -3,9 +3,9 @@
 A long-running asyncio job server (``python -m repro serve``) that
 accepts verify/suite/fuzz jobs as JSON over a stdlib-only HTTP front
 end, dedupes and coalesces identical requests via the content-addressed
-cache keys, shards work across a shared process pool, streams per-test
-progress as NDJSON, and survives kills through the cache's checkpoint
-manifests.  Responses carry the same schema-versioned reports as the
+cache keys, runs every job's units on one shared executor, streams
+per-test progress as NDJSON, and survives kills through the cache's
+checkpoint journals.  Responses carry the same schema-versioned reports as the
 CLI — byte-identical verdicts to an equivalent local run.  See
 ``docs/serving.md`` for the operator's manual.
 """
@@ -19,19 +19,15 @@ from repro.serve.jobs import (
     validate_event,
     validate_spec,
 )
-from repro.serve.pool import CRASH_ONCE_ENV, ServeUnitError, WorkerPool
 
 __all__ = [
-    "CRASH_ONCE_ENV",
     "DEFAULT_PORT",
     "Job",
     "JobServer",
     "JobStore",
     "ServeClient",
     "ServeError",
-    "ServeUnitError",
     "ThreadedServer",
-    "WorkerPool",
     "job_key",
     "make_event",
     "validate_event",

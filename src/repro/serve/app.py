@@ -12,12 +12,12 @@ Request lifecycle (the dataflow diagram lives in
    new submission attaches to the running computation); a finished
    record under the key is a *cache hit* served straight from disk —
    no worker pool, no recomputation;
-3. **shard** — suite jobs split into per-test units: verdict-tier hits
-   are replayed parent-side (the same prefetch discipline as
-   ``verify_suite``), and only the misses dispatch to the shared
-   :class:`~repro.serve.pool.WorkerPool`.  Fuzz jobs run
-   :func:`run_fuzz` in a thread with the server's cache directory, so
-   they inherit the campaign's own checkpointing and oracle tiers;
+3. **run** — suite jobs run :meth:`RTLCheck.verify_suite` and fuzz jobs
+   :func:`run_fuzz`, each in a thread, with the server's cache
+   directory and its one shared :class:`~repro.executor.Executor`: the
+   campaigns' own prefetch, checkpointing, retry and failure contract
+   apply unchanged, and ``--jobs`` bounds the worker processes of all
+   jobs together;
 4. **stream** — every job appends schema-versioned progress events
    (kind ``rtlcheck-serve-event``), served as NDJSON from
    ``GET /v1/jobs/<key>/events``;
@@ -29,8 +29,8 @@ Request lifecycle (the dataflow diagram lives in
 Resumability: accepted specs are journaled until their job reaches a
 terminal state; a restarted server rescans the journal and resubmits,
 and each resumed job's units replay from the verdict/oracle tiers and
-its :class:`CheckpointManifest` — a killed server loses at most
-in-flight units.
+its checkpoint journal — a killed server loses at most in-flight
+units.
 
 The HTTP layer is deliberately stdlib-only (``asyncio.start_server``
 plus hand-rolled HTTP/1.1 parsing, ``Connection: close`` on every
@@ -46,6 +46,7 @@ import threading
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.executor import DEFAULT_RETRIES, Executor, UnitFailure
 from repro.serve.jobs import (
     JobStore,
     job_key,
@@ -53,7 +54,6 @@ from repro.serve.jobs import (
     rtlcheck_for,
     validate_spec,
 )
-from repro.serve.pool import WorkerPool, suite_unit
 
 #: Default TCP port (``--port`` overrides; ``port=0`` picks a free one).
 DEFAULT_PORT = 8357
@@ -65,9 +65,9 @@ class Job:
     """One accepted job: spec, state machine, and its event log.
 
     States: ``queued`` → ``running`` → ``done`` | ``failed``.  Events
-    are appended only from the event-loop thread (fuzz progress is
-    marshalled in via ``call_soon_threadsafe``), so no locking is
-    needed; streamers wait on a fresh :class:`asyncio.Event` per
+    are appended only from the event-loop thread (progress from the job
+    threads is marshalled in via ``call_soon_threadsafe``), so no
+    locking is needed; streamers wait on a fresh :class:`asyncio.Event` per
     appended entry.
     """
 
@@ -127,7 +127,7 @@ class JobServer:
         jobs: int = 2,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        retries: int = 1,
+        retries: int = DEFAULT_RETRIES,
     ):
         from repro.cache import default_cache_dir
 
@@ -135,9 +135,8 @@ class JobServer:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.retries = retries
         self.store = JobStore(self.cache_dir)
-        self.pool = WorkerPool(jobs)
+        self.executor = Executor(jobs, retries=retries)
         self.jobs_by_key: Dict[str, Job] = {}
         self.counters: Dict[str, int] = {
             "submitted": 0,
@@ -181,7 +180,7 @@ class JobServer:
 
     async def shutdown(self) -> None:
         """Stop accepting requests, cancel running jobs (their pending
-        journal entries survive for the next server), tear the pool
+        journal entries survive for the next server), shut the executor
         down, and release :meth:`serve_forever`."""
         if self._server is not None:
             self._server.close()
@@ -194,7 +193,7 @@ class JobServer:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        self.pool.shutdown()
+        self.executor.shutdown(wait=False)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -236,14 +235,13 @@ class JobServer:
         job.emit(
             "started", job_kind=job.spec["kind"], params=job.spec["params"]
         )
+        run = self._run_suite_sync
+        if job.spec["kind"] == "fuzz":
+            run = self._run_fuzz_sync
         try:
-            if job.spec["kind"] == "suite":
-                report = await self._run_suite_job(job)
-            else:
-                loop = asyncio.get_running_loop()
-                report = await asyncio.to_thread(
-                    self._run_fuzz_sync, job, loop
-                )
+            report = await asyncio.to_thread(
+                run, job, asyncio.get_running_loop()
+            )
         except asyncio.CancelledError:
             # Server shutdown: the pending journal entry survives, so a
             # restarted server resumes this job from its checkpoints.
@@ -265,64 +263,40 @@ class JobServer:
             self.counters["completed"] += 1
             job.emit("done", stats=dict(job.stats), source="created")
 
-    async def _run_suite_job(self, job: Job) -> Dict[str, Any]:
-        """Shard a suite job into per-test units over the shared pool,
-        with the same parent-side verdict prefetch as ``verify_suite``:
-        a fully-warm job completes without the pool ever existing."""
+    def _run_suite_sync(self, job: Job, loop: asyncio.AbstractEventLoop):
+        """Thread body of a suite job: ``verify_suite`` on the shared
+        executor.  A unit out of retries fails the job, not the server."""
         from repro import get_test, obs
         from repro.cache import VerificationCache
 
         params = job.spec["params"]
-        memory_variant = params["memory_variant"]
         cache = VerificationCache(self.cache_dir)
         rtlcheck = rtlcheck_for(params, cache=cache)
         tests = [get_test(name) for name in params["tests"]]
-        manifest = cache.checkpoint(job.key, total=len(tests))
-        job.stats["resumed"] = manifest.resumed
+        cached = []
 
-        results: Dict[str, Any] = {}
-        pending = []
-        for test in tests:
-            cached = cache.load_verdict(
-                rtlcheck.verdict_key(test, memory_variant),
-                observe=params["observe"],
-            )
-            if cached is None:
-                pending.append(test)
-                continue
-            results[test.name] = cached
-            manifest.mark_done(test.name)
-            self._emit_unit(job, cached, cached=True)
+        def on_unit(_name, result, hit):
+            if not isinstance(result, UnitFailure):
+                cached.append(hit)
+                loop.call_soon_threadsafe(self._emit_unit, job, result, hit)
+
+        results = rtlcheck.verify_suite(
+            tests,
+            params["memory_variant"],
+            executor=self.executor,
+            on_unit=on_unit,
+        )
+        job.stats["resumed"] = results.resumed
         job.stats["units_total"] = len(tests)
-        job.stats["units_cached"] = len(tests) - len(pending)
-
-        async def run_one(test):
-            result, stats = await self.pool.run_unit(
-                suite_unit,
-                (rtlcheck, test, memory_variant),
-                retries=self.retries,
-                label=test.name,
+        job.stats["units_cached"] = sum(cached)
+        if results.failed:
+            raise ReproError(
+                "; ".join(failure.error for failure in results.failed)
             )
-            if stats:
-                cache.stats.merge(stats)
-            results[test.name] = result
-            manifest.mark_done(test.name)
-            self._emit_unit(job, result, cached=False)
-
-        if pending:
-            outcomes = await asyncio.gather(
-                *(run_one(test) for test in pending), return_exceptions=True
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        manifest.finish()
-
-        ordered = {test.name: results[test.name] for test in tests}
         report = obs.suite_report(
-            ordered,
+            results,
             config_name=params["config"],
-            memory_variant=memory_variant,
+            memory_variant=params["memory_variant"],
             jobs=None,
         )
         problems = obs.validate_report(report)
@@ -344,9 +318,9 @@ class JobServer:
         )
 
     def _run_fuzz_sync(self, job: Job, loop: asyncio.AbstractEventLoop):
-        """Thread body of a fuzz job.  ``run_fuzz`` brings its own
-        checkpointing, oracle memoization, and worker pool; progress
-        callbacks marshal back onto the event loop as stream events."""
+        """Thread body of a fuzz job: ``run_fuzz`` on the shared
+        executor; progress callbacks marshal back onto the event loop as
+        stream events."""
         from repro.difftest import FuzzConfig, run_fuzz, validate_fuzz_report
 
         params = job.spec["params"]
@@ -359,7 +333,6 @@ class JobServer:
             long_programs=params["long_programs"],
             trace_samples=params["trace_samples"],
             cache_dir=self.cache_dir,
-            crash_retries=self.retries,
         )
 
         def progress(index, name, new=None):
@@ -370,7 +343,7 @@ class JobServer:
                 functools.partial(job.emit, "progress", **fields)
             )
 
-        result = run_fuzz(config, progress=progress)
+        result = run_fuzz(config, progress=progress, executor=self.executor)
         report = result.report()
         problems = validate_fuzz_report(report)
         if problems:
@@ -445,7 +418,7 @@ class JobServer:
                 200,
                 {
                     "counters": dict(self.counters),
-                    "pool": dict(self.pool.counters),
+                    "pool": dict(self.executor.counters),
                     "jobs_known": len(self.jobs_by_key),
                 },
             )

@@ -245,12 +245,12 @@ class TestSuiteCaching:
         rc = RTLCheck(cache=VerificationCache(tmp_path))
         rc.verify_suite(tests, jobs=1)
         # A fully-warm run must never spawn a worker.
-        import repro.core.rtlcheck as rtlcheck_mod
+        import repro.executor as executor_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("process pool dispatched on a warm run")
 
-        monkeypatch.setattr(rtlcheck_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", boom)
         warm = rc.verify_suite(tests, jobs=4)
         assert set(warm) == {t.name for t in tests}
 
@@ -258,11 +258,11 @@ class TestSuiteCaching:
         tests = [get_test(n) for n in self.TESTS]
         cache = VerificationCache(tmp_path)
         RTLCheck(cache=cache).verify_suite(tests)
-        [manifest_path] = (tmp_path / "checkpoints").glob("*.json")
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["complete"] is True
-        assert sorted(manifest["completed"]) == sorted(self.TESTS)
-        assert manifest["total"] == len(tests)
+        [journal] = (tmp_path / "checkpoints").glob("*.jsonl")
+        manifest = CheckpointManifest(journal, journal.stem)
+        assert manifest.complete is True
+        assert sorted(manifest.completed) == sorted(self.TESTS)
+        assert manifest.total == len(tests)
 
     def test_checkpoint_disabled(self, tmp_path):
         tests = [get_test(n) for n in self.TESTS[:1]]
@@ -376,6 +376,42 @@ class TestCheckpointManifest:
         manifest = CheckpointManifest(path, "campaign-a")
         manifest.finish()
         assert CheckpointManifest(path, "campaign-a").complete
+
+    def test_torn_last_line_is_ignored(self, tmp_path):
+        # A kill mid-append leaves a partial last line: the units before
+        # it stand, the torn one is not counted, and the next append
+        # starts on a fresh line.
+        path = tmp_path / "m.jsonl"
+        manifest = CheckpointManifest(path, "campaign-a", total=3)
+        manifest.mark_done("u1")
+        manifest.mark_done("u2")
+        with open(path, "a") as handle:
+            handle.write('{"done": "u')
+        reloaded = CheckpointManifest(path, "campaign-a")
+        assert reloaded.completed == ["u1", "u2"]
+        assert reloaded.total == 3
+        reloaded.mark_done("u3")
+        assert CheckpointManifest(path, "campaign-a").completed == [
+            "u1",
+            "u2",
+            "u3",
+        ]
+
+    def test_journal_appends_one_line_per_unit(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        manifest = CheckpointManifest(path, "campaign-a")
+        for unit in ("u1", "u2", "u2", "u3"):
+            manifest.mark_done(unit)
+        manifest.finish()
+        manifest.finish()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[0]["campaign"] == "campaign-a"
+        assert records[1:] == [
+            {"done": "u1"},
+            {"done": "u2"},
+            {"done": "u3"},
+            {"complete": True},
+        ]
 
 
 # ---------------------------------------------------------------------------

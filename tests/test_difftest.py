@@ -458,7 +458,7 @@ class TestWorkerCrashContainment:
     propagate out of ``future.result()`` and kill the whole campaign."""
 
     def _crashing_campaign(self, monkeypatch, jobs, cache_dir=None):
-        from repro.difftest.runner import CRASH_TEST_ENV
+        from repro.executor import FAULT_ENV
 
         config = FuzzConfig(
             seed=11,
@@ -469,7 +469,7 @@ class TestWorkerCrashContainment:
             cache_dir=cache_dir,
         )
         victim = FuzzGenerator(11).suite(3)[1].name
-        monkeypatch.setenv(CRASH_TEST_ENV, victim)
+        monkeypatch.setenv(FAULT_ENV, victim)
         return run_fuzz(config), victim
 
     def _assert_contained(self, result, victim):
@@ -499,9 +499,9 @@ class TestWorkerCrashContainment:
         # The crashed index was NOT checkpointed as done: a resumed run
         # (crash hook cleared) retries exactly that test and comes back
         # clean.
-        from repro.difftest.runner import CRASH_TEST_ENV
+        from repro.executor import FAULT_ENV
 
-        monkeypatch.delenv(CRASH_TEST_ENV)
+        monkeypatch.delenv(FAULT_ENV)
         resumed = run_fuzz(
             FuzzConfig(
                 seed=11,

@@ -34,7 +34,7 @@ from repro.serve import (
     validate_event,
     validate_spec,
 )
-from repro.serve import pool as serve_pool
+from repro.executor import FAULT_ENV
 
 SUITE_TESTS = ["mp", "sb"]
 SUITE_SPEC = {"kind": "suite", "params": {"tests": SUITE_TESTS}}
@@ -462,7 +462,7 @@ def test_killed_server_resumes_pending_jobs_byte_identically(tmp_path):
 def test_crashed_unit_is_retried_once_and_job_completes(tmp_path, monkeypatch):
     marker = tmp_path / "crash-once"
     marker.write_text("armed")
-    monkeypatch.setenv(serve_pool.CRASH_ONCE_ENV, f"sb:{marker}")
+    monkeypatch.setenv(FAULT_ENV, f"sb:{marker}")
     with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1) as ts:
         client = ServeClient("127.0.0.1", ts.port, timeout=300)
         submission, report = client.run(
@@ -480,7 +480,7 @@ def test_crashed_unit_is_retried_once_and_job_completes(tmp_path, monkeypatch):
 def test_exhausted_retries_fail_the_job_not_the_server(tmp_path, monkeypatch):
     marker = tmp_path / "crash-once"
     marker.write_text("armed")
-    monkeypatch.setenv(serve_pool.CRASH_ONCE_ENV, f"sb:{marker}")
+    monkeypatch.setenv(FAULT_ENV, f"sb:{marker}")
     spec = {"kind": "suite", "params": {"tests": ["sb"]}}
     with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1, retries=0) as ts:
         client = ServeClient("127.0.0.1", ts.port, timeout=300)
@@ -499,14 +499,14 @@ def test_exhausted_retries_fail_the_job_not_the_server(tmp_path, monkeypatch):
 
 def test_fuzz_crash_retries_recover_the_campaign(tmp_path, monkeypatch):
     from repro.difftest import FuzzConfig, run_fuzz
-    from repro.difftest.runner import CRASH_ONCE_ENV
     from repro.difftest import FuzzGenerator
 
     victim = FuzzGenerator(11).suite(3)[1].name
     marker = tmp_path / "crash-once"
     marker.write_text("armed")
-    monkeypatch.setenv(CRASH_ONCE_ENV, f"{victim}:{marker}")
-    config = FuzzConfig(seed=11, budget=3, shrink=False, crash_retries=1)
+    monkeypatch.setenv(FAULT_ENV, f"{victim}:{marker}")
+    # The default retry (1) recovers the one-shot crash.
+    config = FuzzConfig(seed=11, budget=3, shrink=False)
     result = run_fuzz(config)
     assert not marker.exists(), "the injected crash must have fired"
     assert result.tests_run == 3
