@@ -40,9 +40,10 @@ class CheckpointManifest:
         #: No journal of this campaign on disk yet: the first append
         #: (re)writes the file, starting with the header.
         self._fresh = not self._load()
-        #: Units already completed when this run attached (what a
-        #: restart resumes rather than recomputes).
-        self.resumed = len(self.completed)
+        #: Units an interrupted run left completed (what a restart
+        #: resumes rather than recomputes); a journal complete at load
+        #: is a replay of a finished campaign, not a resume.
+        self.resumed = 0 if self.complete else len(self.completed)
 
     def _load(self) -> bool:
         """Read this campaign's journal; ``False`` if there is none."""

@@ -286,7 +286,6 @@ class RTLCheck:
         ) as wall:
             generated = self.generate(test)
             design = self.design_factory(generated.compiled, memory_variant)
-            self._bind_slot_layout(design)
             checker = AssumptionChecker(generated.assumptions)
             # The design's assumption-constrained state space is
             # explored once into a shared graph; the cover run and every
@@ -413,16 +412,6 @@ class RTLCheck:
                 self.cache.store_graph(reach_key, graph)
         return result
 
-    @staticmethod
-    def _bind_slot_layout(design) -> None:
-        """Snapshot a factory-built design to interned slot vectors when
-        it declares a slot layout.  A design without one (for example
-        Multi-V-scale-TSO, whose store buffers are variable-size) keeps
-        its own snapshots and expands through the generic
-        ``step_batch``."""
-        if not getattr(design, "slot_layout_bound", True):
-            design.enable_array_state()
-
     def _monitor(self, directive: Directive) -> PropertyMonitor:
         """Compile ``directive`` into a :class:`PropertyMonitor`,
         memoized through the cache's NFA tier when one is attached."""
@@ -488,11 +477,7 @@ class RTLCheck:
         # The explorer simulates exclusively through the graph's design
         # (a warm-loaded graph carries its own).
         design = graph.design
-        if (
-            recorder is not None
-            and recorder.enabled
-            and getattr(design, "slot_layout_bound", False)
-        ):
+        if recorder is not None and recorder.enabled:
             recorder.count("state.states_interned", design.states_interned)
             recorder.count("state.batch_expansions", design.batch_expansions)
             recorder.count("state.slots_copied", design.slots_copied)

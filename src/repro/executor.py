@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 import traceback
 from collections import deque
@@ -197,6 +198,7 @@ class Executor:
             if self._closed:
                 raise ReproError("executor shut down")
             if self._pool is None:
+                _require_main_file()
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs,
                     mp_context=multiprocessing.get_context("spawn"),
@@ -221,6 +223,19 @@ class Executor:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
+
+
+def _require_main_file() -> None:
+    """Spawn workers re-import the main module from its file.  A main
+    read from stdin (``python -``) names a file that does not exist, so
+    every worker would die on start and every unit would fail."""
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if main_file is not None and not os.path.isfile(main_file):
+        raise ReproError(
+            f"cannot start worker processes: the main module {main_file!r} "
+            "is not a file they can re-import; run the script from a "
+            "file, with -c or with -m, or use one job"
+        )
 
 
 def _failure(name: str, attempts: int, exc: BaseException) -> UnitFailure:

@@ -158,25 +158,10 @@ class CoverageMap:
 
 
 def state_signature(design, snap) -> str:
-    """A run-stable signature for one design snapshot.
-
-    With a slot layout bound the snapshot is an interner id; the
-    signature digests the packed flat slot vector, so equal physical
-    states hash equal across runs regardless of interning order.  For a
-    design without a slot layout (or any non-packable vector) the
-    signature digests the snapshot's ``repr`` — still deterministic,
-    but a different key space, so campaigns should not mix the two.
-    """
-    data = None
-    if getattr(design, "slot_layout_bound", False):
-        vector = design.state_vector(snap)
-        if vector is not None:
-            try:
-                data = array("q", vector).tobytes()
-            except (OverflowError, TypeError):
-                data = None
-    if data is None:
-        data = repr(snap).encode()
+    """A run-stable signature for one design snapshot (an interner id):
+    a digest of the packed flat slot vector, so equal physical states
+    hash equal across runs regardless of interning order."""
+    data = array("q", design.state_vector(snap)).tobytes()
     return blake2b(data, digest_size=8).hexdigest()
 
 

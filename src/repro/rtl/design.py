@@ -16,21 +16,18 @@ returning hashable states; the property verifier uses these for
 explicit-state exploration with deduplication.
 
 A design's state is a flat slot vector (``docs/performance.md``).
-The design declares a static :class:`SlotLayout` once;
-``snapshot()`` writes every slot into a reused buffer and hash-conses
-the resulting tuple through a :class:`StateInterner`, so a snapshot is
-just a dense integer id and ``restore()`` a bulk slot copy.  The
-layout is bound by :meth:`Design.enable_array_state` on designs that
-provide one.
+Every design declares a static :class:`SlotLayout` and binds it once
+through :meth:`Design.enable_array_state`; ``snapshot()`` writes every
+slot into a reused buffer and hash-conses the resulting tuple through a
+:class:`StateInterner`, so a snapshot is just a dense integer id and
+``restore()`` a bulk slot copy.  Multi-V-scale-TSO's store buffers fit
+the same scheme: each is capped at ``STORE_BUFFER_CAPACITY`` entries,
+so a fixed block holds it with ``-1`` marking empty entries.
 
-A design that declares no slot layout (Multi-V-scale-TSO, whose store
-buffers are variable-size) overrides ``snapshot``/``restore`` with its
-own hashable states.
-
-On top of that, :meth:`Design.step_batch` expands *all* free
-input choices of one state in a single call; designs whose settled
-frame does not depend on a free input (Multi-V-scale's arbiter grant)
-override it to share one combinational evaluation across every choice.
+:meth:`Design.step_batch` expands *all* free input choices of one state
+in a single call; both SoCs share one combinational evaluation across
+every choice, since their settled frame does not depend on the
+arbiter grant.
 
 Free inputs (for Multi-V-scale: the arbiter's grant select, paper §5.2)
 are declared via :meth:`Design.free_inputs`; a formal verifier explores
@@ -185,13 +182,10 @@ FrameHook = Callable[[Frame, int], bool]
 
 class Design:
     """Base class for simulatable designs. Subclasses implement the
-    two-phase protocol plus either a slot layout or their own
-    ``snapshot``/``restore``."""
+    two-phase protocol, a slot layout and :meth:`step_batch`, and bind
+    the layout with :meth:`enable_array_state` once constructed."""
 
-    #: Hash-conses slot vectors once a slot layout is bound, else
-    #: ``None`` (see :attr:`slot_layout_bound`).
-    _interner: Optional[StateInterner] = None
-    #: Slots moved through the flat buffer (slot layouts only).
+    #: Slots moved through the flat buffer.
     slots_copied = 0
     #: ``step_batch`` calls that shared one settled evaluation.
     batch_expansions = 0
@@ -208,11 +202,10 @@ class Design:
     def tick(self) -> None:
         raise NotImplementedError
 
-    # -- state protocol ------------------------------------------------
+    # -- state protocol: interned flat slot vectors ---------------------
 
     def snapshot(self) -> Hashable:
-        """The current state as an interned slot-vector id (requires a
-        bound slot layout; layout-less designs override this)."""
+        """The current state as an interned slot-vector id."""
         buf = self._slot_buf
         self.write_slots(buf)
         self.slots_copied += len(buf)
@@ -223,12 +216,9 @@ class Design:
         self.read_slots(vec)
         self.slots_copied += len(vec)
 
-    # -- flat slot vectors (opt-in per design) -------------------------
-
-    def slot_layout(self) -> Optional[SlotLayout]:
-        """The design's flat-state declaration, or ``None`` when the
-        design snapshots through its own ``snapshot``/``restore``."""
-        return None
+    def slot_layout(self) -> SlotLayout:
+        """The design's flat-state declaration."""
+        raise NotImplementedError
 
     def write_slots(self, buf: List[int]) -> None:
         """Serialize the current state into ``buf`` (length
@@ -239,47 +229,26 @@ class Design:
         """Deserialize ``vec`` into the design's state."""
         raise NotImplementedError
 
-    def enable_array_state(self) -> bool:
-        """Bind the design's slot layout and snapshot to interned flat
-        vectors; returns False (and keeps the design's own snapshots)
-        when the design declares no slot layout.  Snapshots taken
-        before the switch are meaningless after it, so switch only
-        between explorations."""
+    def enable_array_state(self) -> None:
+        """Bind the design's slot layout and a fresh interner.
+        Snapshots taken before a rebind are meaningless after it."""
         layout = self.slot_layout()
-        if layout is None:
-            return False
         self._slot_layout = layout
         self._interner = StateInterner()
         self._slot_buf = [0] * layout.size
         self.slots_copied = 0
         self.batch_expansions = 0
-        return True
-
-    @property
-    def slot_layout_bound(self) -> bool:
-        """Whether snapshots are interned slot-vector ids."""
-        return self._interner is not None
 
     @property
     def states_interned(self) -> int:
-        """Distinct states the interner holds (0 without a slot layout)."""
-        if not self.slot_layout_bound:
-            return 0
+        """Distinct states the interner holds."""
         return len(self._interner)
 
-    def state_vector(self, state: Hashable) -> Optional[Tuple[int, ...]]:
-        """The flat slot vector behind a snapshot id, or ``None``
-        without a slot layout (where snapshots carry their own
-        structure).  Coverage signatures digest this vector so state
-        identity is stable across runs and interning orders."""
-        if self.slot_layout_bound:
-            return self._interner.state(state)
-        return None
-
-    def drained(self) -> bool:
-        """Whether the architectural state can no longer change (the
-        default design never drains; subclasses override)."""
-        return False
+    def state_vector(self, state: Hashable) -> Tuple[int, ...]:
+        """The flat slot vector behind a snapshot id.  Coverage
+        signatures digest this vector so state identity is stable
+        across runs and interning orders."""
+        return self._interner.state(state)
 
     # -- batched expansion ---------------------------------------------
 
@@ -292,24 +261,12 @@ class Design:
         """Expand every free-input assignment of ``state`` in one call.
 
         Returns a list parallel to ``input_space``: ``None`` where
-        ``frame_hook`` pruned the choice, else ``(frame, successor)``.
-        The generic implementation replays the classic per-input
-        restore/eval/tick loop exactly (same operation order, same
-        hook-observable effects); designs whose settled frame is
-        independent of a free input override this to evaluate once and
-        fan the cheap part — successor state construction — out over
-        the choices.
+        ``frame_hook`` pruned the choice, else ``(frame, successor)``,
+        exactly as restoring, settling and ticking once per choice would
+        (``frame_hook(frame, n)`` stands for ``n`` choices sharing one
+        settled frame).
         """
-        results: List[Optional[Tuple[Frame, Hashable]]] = []
-        for inputs in input_space:
-            self.restore(state)
-            frame = self.eval_comb(inputs)
-            if not frame_hook(frame, 1):
-                results.append(None)
-                continue
-            self.tick()
-            results.append((frame, self.snapshot()))
-        return results
+        raise NotImplementedError
 
     def step_batch_checked(
         self,

@@ -8,15 +8,16 @@ can the design reach at all, over every free-input schedule?
 It is a plain breadth-first reachability walk — no assumptions, no
 monitors — that harvests the architectural state of every drained state
 it discovers.  The walk never looks at signals, so it runs on the
-design's frame-free compiled step
-(:meth:`~repro.vscale.soc.MultiVScale.state_step`): states are raw
+design's frame-free step
+(:meth:`~repro.vscale.soc.VScaleSoC.state_step`, compiled for
+Multi-V-scale, interpreted for Multi-V-scale-TSO): states are raw
 slot tuples kept in a plain set, each frontier state takes one
 ``step_state`` call, and its
 successors are that buffer with the arbiter grant slot patched once per
 input choice (the grant is the only free input and feeds only that
 slot).  A state is *drained* when its architectural results can no
-longer change (the compiled ``drained`` predicate, equal to
-:meth:`~repro.vscale.soc.MultiVScale.drained`); only drained states are
+longer change (the step's ``drained`` predicate, equal to the
+design's ``drained()``); only drained states are
 read back into the design, and they are not expanded further, so the
 walk terminates on any design whose non-drained state space is finite
 (litmus-programmed Multi-V-scale always is: unfair schedules cycle
@@ -84,12 +85,11 @@ def enumerate_design_outcomes(
 ) -> ArchEnumeration:
     """Enumerate every architectural final state ``design`` can reach.
 
-    ``design`` must provide the frame-free compiled step
-    (:meth:`~repro.vscale.soc.MultiVScale.state_step`) plus
+    ``design`` must provide the frame-free step
+    (:meth:`~repro.vscale.soc.VScaleSoC.state_step`) plus
     ``read_slots()`` and the architectural-harvest pair
     ``register_results()`` / ``memory_results()``, as Multi-V-scale
-    does; designs without a slot layout (Multi-V-scale-TSO) have no
-    such step and are refused.
+    (compiled step) and Multi-V-scale-TSO (interpreted step) do.
     """
     for method in ("state_step", "register_results", "memory_results"):
         if not hasattr(design, method):

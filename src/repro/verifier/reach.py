@@ -54,10 +54,11 @@ Four details make the replay exact:
   state it is.
 * Expansion is lazy: a node's edges are simulated on first access, so
   a budget-truncated walk expands exactly the design states it touches.
-* Snapshot ids and monitor state ids are interned bijectively, so a
-  product state ``(snapshot id, state id)`` stands for exactly one
-  ``(snapshot, monitor state tuple)`` and dedup, ``states_explored``,
-  and the visit order are unchanged.  Budget-truncated property walks
+* Snapshots are the design's interned slot-vector ids and monitor
+  state ids are interned bijectively, so a product state ``(snapshot
+  id, state id)`` stands for exactly one ``(design state, monitor state
+  tuple)`` and dedup, ``states_explored``, and the visit order are
+  unchanged.  Budget-truncated property walks
   are pinned against per-edge stepping in
   ``tests/test_property_walk.py``.
 
@@ -225,8 +226,8 @@ class GraphExplorer(InstrumentedExplorer):
     The design is simulated only on graph cache misses, so walked
     transitions are not simulated frames; the graph reports its own
     ``sim_transitions``.  The explorer also holds the walk's compiled
-    view of the graph — valuation-class frame labels, snapshot ids, and
-    labelled successor lists — which lives exactly as long as the
+    view of the graph — valuation-class frame labels and labelled
+    successor lists — which lives exactly as long as the
     explorer and is never pickled with the graph.
 
     ``atoms`` declares the predicates the walks will read
@@ -246,34 +247,25 @@ class GraphExplorer(InstrumentedExplorer):
         self.assumptions = self.graph.assumptions
         self.input_space = self.graph.input_space
         self.labels = FrameLabels(atoms)
-        self._snap_ids: Dict[Hashable, int] = {}
         self._labelled: Dict[int, List[Tuple[int, int, int, int]]] = {}
 
     # ------------------------------------------------------------------
 
     def _labelled_successors(self, node: int) -> List[Tuple[int, int, int, int]]:
         """The live transitions of ``node`` as ``(input_index, label,
-        child, child_snap_id)``, built once per explorer.  Each call
+        child, child snapshot)``, built once per explorer.  Each call
         counts as one graph lookup, so ``cache_hits`` keeps meaning
         what it did when walks read the graph directly."""
         edges = self._labelled.get(node)
         if edges is not None:
             self.graph.cache_hits += 1
             return edges
-        label = self.labels.label
+        label, snap = self.labels.label, self.graph.snap
         edges = self._labelled[node] = [
-            (index, label(frame), child, self._snap_id(child))
+            (index, label(frame), child, snap(child))
             for index, _inputs, frame, child in self.graph.live_successors(node)
         ]
         return edges
-
-    def _snap_id(self, node: int) -> int:
-        """The explorer-local id of ``node``'s snapshot (interned)."""
-        snap = self.graph.snap(node)
-        snap_id = self._snap_ids.get(snap)
-        if snap_id is None:
-            snap_id = self._snap_ids[snap] = len(self._snap_ids)
-        return snap_id
 
     def _check_property(
         self, monitor: PropertyMonitor, budget: Budget
@@ -289,7 +281,7 @@ class GraphExplorer(InstrumentedExplorer):
         if self.labels.sync():
             self._labelled.clear()  # labels renumbered for a new atom
         rows = table.rows
-        root_key = (self._snap_id(graph.root), 0)
+        root_key = (graph.snap(graph.root), 0)
         visited = {root_key}
         frontier: List[Tuple[int, int, Tuple[int, int]]] = [
             (graph.root, 0, root_key)

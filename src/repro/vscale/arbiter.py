@@ -10,8 +10,6 @@ is completing its data phase (Figures 6, 11).
 
 from __future__ import annotations
 
-from typing import Hashable
-
 
 class Arbiter:
     """Registered grant: the select input names next cycle's owner."""
@@ -30,12 +28,6 @@ class Arbiter:
     def tick(self, select: int) -> None:
         self.prev_core = self.cur_core
         self.cur_core = select % self.num_cores
-
-    def snapshot(self) -> Hashable:
-        return (self.cur_core, self.prev_core)
-
-    def restore(self, state: Hashable) -> None:
-        self.cur_core, self.prev_core = state
 
     # -- flat slot protocol --------------------------------------------
 

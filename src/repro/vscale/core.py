@@ -18,7 +18,7 @@ memory, then calls :meth:`VScaleCore.tick`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import RtlError
 from repro.isa import Addi, Halt, Instruction, Lui, Lw, Nop, Sw, decode
@@ -207,29 +207,6 @@ class VScaleCore:
                 self.dx_pc = self.pc_if
                 self.pc_if += 4
 
-    # ------------------------------------------------------------------
-    # State capture
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Hashable:
-        return (
-            self.pc_if, self.fetch_stop,
-            self.dx_valid, self.dx_word, self.dx_pc,
-            self.wb_valid, self.wb_pc, self.wb_type, self.wb_store_data,
-            self.wb_load_dest, self.wb_is_halt, self.wb_writes_reg,
-            self.wb_alu, self.wb_mem_addr, self.halted, tuple(self.regs),
-        )
-
-    def restore(self, state: Hashable) -> None:
-        (
-            self.pc_if, self.fetch_stop,
-            self.dx_valid, self.dx_word, self.dx_pc,
-            self.wb_valid, self.wb_pc, self.wb_type, self.wb_store_data,
-            self.wb_load_dest, self.wb_is_halt, self.wb_writes_reg,
-            self.wb_alu, self.wb_mem_addr, self.halted, regs,
-        ) = state
-        self.regs = list(regs)
-
     # -- flat slot protocol --------------------------------------------
 
     #: 15 scalar pipeline/architectural registers + 32 GPRs.
@@ -240,7 +217,7 @@ class VScaleCore:
 
         Booleans encode as 0/1 and the optional ``wb_writes_reg`` as
         -1-for-None, keeping the encoding injective (None and r0 are
-        distinct pipeline states, exactly as in :meth:`snapshot`).
+        distinct pipeline states).
         """
         buf[base] = self.pc_if
         buf[base + 1] = int(self.fetch_stop)

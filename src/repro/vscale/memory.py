@@ -24,13 +24,29 @@ read it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RtlError
 from repro.vscale.params import DMEM_LOAD, DMEM_STORE
 
 #: An in-flight transaction: (core, kind, word address).
 Transaction = Tuple[int, int, int]
+
+
+def write_word_slots(
+    array: Dict[int, int], words: Sequence[int], buf: List[int], off: int
+) -> None:
+    """Write ``array``'s declared ``words`` into ``buf[off:]``, in
+    order; raise if the array grew a word outside them."""
+    if len(array) != len(words):
+        extras = sorted(set(array) - set(words))
+        raise RtlError(
+            "memory grew words outside the declared data set "
+            f"{extras}; the flat state layout is static, so every "
+            "store target must appear in the initial data memory"
+        )
+    for index, word in enumerate(words):
+        buf[off + index] = array[word]
 
 
 class MemoryBase:
@@ -89,17 +105,9 @@ class MemoryBase:
         else:
             buf[base] = 1
             buf[base + 1], buf[base + 2], buf[base + 3] = pending
-        array = self.array
-        if len(array) != len(self.slot_words):
-            extras = sorted(set(array) - set(self.slot_words))
-            raise RtlError(
-                "memory grew words outside the declared data set "
-                f"{extras}; the flat state layout is static, so every "
-                "store target must appear in the initial data memory"
-            )
-        off = base + self.PENDING_SLOTS
-        for index, word in enumerate(self.slot_words):
-            buf[off + index] = array[word]
+        write_word_slots(
+            self.array, self.slot_words, buf, base + self.PENDING_SLOTS
+        )
 
     def _read_base_slots(self, vec, base: int) -> None:
         if vec[base]:

@@ -5,11 +5,15 @@ This is the paper's Figure 1 design as a simulatable
 the core the arbiter grants next cycle; the property verifier branches
 over it every cycle, exactly as JasperGold explored "all possibilities
 for this input" (§5.2).
+
+:class:`VScaleSoC` is what Multi-V-scale shares with its store-buffer
+variant (:mod:`repro.vscale.tso`): the cores and arbiter, their slot
+blocks, the batched expansion and the frame-free step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import RtlError
 from repro.isa import encode
@@ -47,7 +51,7 @@ _CORE_KEYS = tuple(
 
 
 class StateStep(NamedTuple):
-    """What :meth:`MultiVScale.state_step` returns."""
+    """What :meth:`VScaleSoC.state_step` returns."""
 
     start: Tuple[int, ...]
     #: ``step_state(vec)`` -> the successor as a fresh list, grant
@@ -59,7 +63,152 @@ class StateStep(NamedTuple):
     selects: Tuple[int, ...]
 
 
-class MultiVScale(Design):
+class VScaleSoC(Design):
+    """Four V-scale cores programmed with one compiled litmus test and
+    the grant arbiter; subclasses add the memory side.
+
+    The slot layout starts with each core's block, then the arbiter's
+    (whose first slot, ``cur_core``, is the grant slot); subclasses
+    append their own blocks and bind the layout once constructed.
+    """
+
+    def __init__(self, compiled: CompiledTest):
+        if compiled.num_cores != NUM_CORES:
+            raise RtlError(f"expected {NUM_CORES}-core compile, got {compiled.num_cores}")
+        self.compiled = compiled
+        self.cores: List[VScaleCore] = []
+        for core_id, program in enumerate(compiled.programs):
+            if len(program) > compiled.imem_words_per_core:
+                raise RtlError(f"core {core_id}: program too long for imem")
+            imem = [encode(instr) for instr in program]
+            self.cores.append(
+                VScaleCore(core_id, imem, base_pc=compiled.core_base_pc(core_id))
+            )
+        self.arbiter = Arbiter(NUM_CORES)
+        self.data_words = sorted(compiled.initial_data_memory)
+        self._pending_tick = None
+
+    def reset(self) -> None:
+        for core_id, core in enumerate(self.cores):
+            core.reset(self.compiled.reg_init[core_id])
+        self.arbiter.reset()
+        self._pending_tick = None
+
+    def free_inputs(self) -> Sequence[FreeInput]:
+        return (FreeInput("arb_select", NUM_CORES),)
+
+    # ------------------------------------------------------------------
+    # State protocol: the flat slot layout
+    # ------------------------------------------------------------------
+
+    def slot_layout(self) -> SlotLayout:
+        layout = SlotLayout()
+        self._core_bases = [
+            layout.block(f"core[{core.core_id}]", core.SLOT_COUNT)
+            for core in self.cores
+        ]
+        self._arb_base = layout.block("arbiter", self.arbiter.SLOT_COUNT)
+        return layout
+
+    def write_slots(self, buf: List[int]) -> None:
+        for core, base in zip(self.cores, self._core_bases):
+            core.write_slots(buf, base)
+        self.arbiter.write_slots(buf, self._arb_base)
+
+    def read_slots(self, vec) -> None:
+        for core, base in zip(self.cores, self._core_bases):
+            core.read_slots(vec, base)
+        self.arbiter.read_slots(vec, self._arb_base)
+        self._pending_tick = None
+
+    def step_batch(self, state, input_space, frame_hook):
+        """Batched expansion sharing one settled evaluation.
+
+        ``arb_select`` feeds only the arbiter's clock edge — the settled
+        frame and every other next-state slot are identical for every
+        grant choice — so one restore + ``eval_comb`` + ``tick`` covers
+        the whole input space, and each choice's successor differs from
+        its neighbours in exactly one slot (``arbiter.cur_core``).
+        """
+        n = len(input_space)
+        self.restore(state)
+        frame = self.eval_comb(input_space[0])
+        self.batch_expansions += 1
+        if not frame_hook(frame, n):
+            return [None] * n
+        self.tick()
+        buf = self._slot_buf
+        self.write_slots(buf)
+        self.slots_copied += len(buf)
+        cur_slot = self._arb_base  # the only select-dependent slot
+        interner = self._interner
+        num_cores = self.arbiter.num_cores
+        edges = []
+        for inputs in input_space:
+            buf[cur_slot] = inputs.get("arb_select", 0) % num_cores
+            edges.append((frame, interner.intern(tuple(buf))))
+        return edges
+
+    def state_step(self) -> StateStep:
+        """The design's frame-free step, for consumers that walk raw
+        slot tuples and never look at signals (the trace harvest and the
+        architectural-outcome enumeration).
+
+        Resets the design and returns the reset state's slot tuple,
+        the ``step_state``/``drained`` pair of :meth:`_step_functions`,
+        the arbiter grant slot (the only slot that differs between one
+        state's successors) and its value per :meth:`input_space`
+        choice.  A final state reads back through :meth:`read_slots`."""
+        self.reset()
+        step_state, drained = self._step_functions()
+        num_cores = self.arbiter.num_cores
+        return StateStep(
+            start=self.state_vector(self.snapshot()),
+            step_state=step_state,
+            drained=drained,
+            grant_slot=self._arb_base,
+            selects=tuple(
+                inputs.get("arb_select", 0) % num_cores
+                for inputs in self.input_space()
+            ),
+        )
+
+    def _step_functions(self):
+        """``(step_state, drained)`` interpreted on this design:
+        ``read_slots`` -> ``eval_comb`` -> ``tick`` -> ``write_slots``."""
+        size = self._slot_layout.size
+
+        def step_state(vec) -> List[int]:
+            self.read_slots(vec)
+            self.eval_comb({})
+            self.tick()
+            buf = [0] * size
+            self.write_slots(buf)
+            return buf
+
+        def drained(vec) -> bool:
+            self.read_slots(vec)
+            return self.drained()
+
+        return step_state, drained
+
+    # ------------------------------------------------------------------
+
+    def all_halted(self) -> bool:
+        """Every core has retired its halt (test instructions complete)."""
+        return all(core.halted for core in self.cores)
+
+    def register_results(self) -> Dict[str, int]:
+        """Litmus output registers read back from the register files
+        (meaningful once :meth:`drained`)."""
+        results: Dict[str, int] = {}
+        for op in self.compiled.ops:
+            if op.op.is_load:
+                results[op.op.out] = self.cores[op.core].regs[op.data_reg]
+        return results
+
+
+class MultiVScale(VScaleSoC):
     """The four-core V-scale SoC, programmed with one compiled litmus test.
 
     ``memory_variant`` selects ``"buggy"`` (the shipped V-scale memory
@@ -74,43 +223,22 @@ class MultiVScale(Design):
     """
 
     def __init__(self, compiled: CompiledTest, memory_variant: str = "fixed"):
-        if compiled.num_cores != NUM_CORES:
-            raise RtlError(f"expected {NUM_CORES}-core compile, got {compiled.num_cores}")
-        self.compiled = compiled
+        super().__init__(compiled)
         self.memory_variant = memory_variant
-        self.cores: List[VScaleCore] = []
-        for core_id, program in enumerate(compiled.programs):
-            if len(program) > compiled.imem_words_per_core:
-                raise RtlError(f"core {core_id}: program too long for imem")
-            imem = [encode(instr) for instr in program]
-            self.cores.append(
-                VScaleCore(core_id, imem, base_pc=compiled.core_base_pc(core_id))
-            )
-        self.arbiter = Arbiter(NUM_CORES)
         if memory_variant == "buggy":
             self.memory: MemoryBase = BuggyMemory(compiled.initial_data_memory)
         elif memory_variant == "fixed":
             self.memory = FixedMemory(compiled.initial_data_memory)
         else:
             raise RtlError(f"unknown memory variant {memory_variant!r}")
-        self.data_words = sorted(compiled.initial_data_memory)
         #: ``(word, frame key)`` per data word, keys shared by every frame.
         self._mem_keys = tuple((word, f"mem[{word}]") for word in self.data_words)
-        self._pending_tick = None
         self.reset()
         self.enable_array_state()
 
-    # ------------------------------------------------------------------
-
     def reset(self) -> None:
-        for core_id, core in enumerate(self.cores):
-            core.reset(self.compiled.reg_init[core_id])
-        self.arbiter.reset()
+        super().reset()
         self.memory.reset()
-        self._pending_tick = None
-
-    def free_inputs(self) -> Sequence[FreeInput]:
-        return (FreeInput("arb_select", NUM_CORES),)
 
     # ------------------------------------------------------------------
 
@@ -196,92 +324,30 @@ class MultiVScale(Design):
             core.tick(views[core_id], stall_dx[core_id], load_data)
 
     # ------------------------------------------------------------------
-    # State protocol: the flat slot layout
+    # State protocol: cores, arbiter, then the memory block
     # ------------------------------------------------------------------
 
-    def slot_layout(self) -> Optional[SlotLayout]:
-        layout = SlotLayout()
-        self._core_bases = [
-            layout.block(f"core[{core.core_id}]", core.SLOT_COUNT)
-            for core in self.cores
-        ]
-        self._arb_base = layout.block("arbiter", self.arbiter.SLOT_COUNT)
+    def slot_layout(self) -> SlotLayout:
+        layout = super().slot_layout()
         self._mem_base = layout.block("memory", self.memory.slot_count())
         return layout
 
     def write_slots(self, buf: List[int]) -> None:
-        for core, base in zip(self.cores, self._core_bases):
-            core.write_slots(buf, base)
-        self.arbiter.write_slots(buf, self._arb_base)
+        super().write_slots(buf)
         self.memory.write_slots(buf, self._mem_base)
 
     def read_slots(self, vec) -> None:
-        for core, base in zip(self.cores, self._core_bases):
-            core.read_slots(vec, base)
-        self.arbiter.read_slots(vec, self._arb_base)
+        super().read_slots(vec)
         self.memory.read_slots(vec, self._mem_base)
-        self._pending_tick = None
 
-    def step_batch(self, state, input_space, frame_hook):
-        """Batched expansion sharing one settled evaluation.
-
-        ``arb_select`` feeds only the arbiter's clock edge — the settled
-        frame and the core/memory next-state are identical for every
-        grant choice — so one restore + ``eval_comb`` + ``tick`` covers
-        the whole input space, and each choice's successor differs from
-        its neighbours in exactly one slot (``arbiter.cur_core``).
-        """
-        n = len(input_space)
-        self.restore(state)
-        frame = self.eval_comb(input_space[0])
-        self.batch_expansions += 1
-        if not frame_hook(frame, n):
-            return [None] * n
-        self.tick()
-        buf = self._slot_buf
-        self.write_slots(buf)
-        self.slots_copied += len(buf)
-        cur_slot = self._arb_base  # the only select-dependent slot
-        interner = self._interner
-        num_cores = self.arbiter.num_cores
-        edges = []
-        for inputs in input_space:
-            buf[cur_slot] = inputs.get("arb_select", 0) % num_cores
-            edges.append((frame, interner.intern(tuple(buf))))
-        return edges
-
-    def state_step(self) -> StateStep:
-        """The design's frame-free compiled step, for consumers that
-        walk raw slot tuples and never look at signals (the trace
-        harvest and the architectural-outcome enumeration).
-
-        Resets the design and returns the reset state's slot tuple,
-        the compiled ``step_state``/``drained`` pair
-        (:func:`repro.vscale.kernel.build_state_step`), the arbiter
-        grant slot (the only slot that differs between one state's
-        successors) and its value per :meth:`input_space` choice.
-        A final state reads back through :meth:`read_slots`."""
+    def _step_functions(self):
+        """The compiled pair
+        (:func:`repro.vscale.kernel.build_state_step`)."""
         from repro.vscale.kernel import build_state_step
 
-        self.reset()
-        step_state, drained = build_state_step(self)
-        num_cores = self.arbiter.num_cores
-        return StateStep(
-            start=self.state_vector(self.snapshot()),
-            step_state=step_state,
-            drained=drained,
-            grant_slot=self._arb_base,
-            selects=tuple(
-                inputs.get("arb_select", 0) % num_cores
-                for inputs in self.input_space()
-            ),
-        )
+        return build_state_step(self)
 
     # ------------------------------------------------------------------
-
-    def all_halted(self) -> bool:
-        """Every core has retired its halt (test instructions complete)."""
-        return all(core.halted for core in self.cores)
 
     def drained(self) -> bool:
         """All halted with empty pipelines and no in-flight transaction:
@@ -291,15 +357,6 @@ class MultiVScale(Design):
             and all(not c.dx_valid and not c.wb_valid for c in self.cores)
             and self.memory.pending is None
         )
-
-    def register_results(self) -> Dict[str, int]:
-        """Litmus output registers read back from the register files
-        (meaningful once :meth:`drained`)."""
-        results: Dict[str, int] = {}
-        for op in self.compiled.ops:
-            if op.op.is_load:
-                results[op.op.out] = self.cores[op.core].regs[op.data_reg]
-        return results
 
     def memory_results(self) -> Dict[str, int]:
         """Final litmus variable values read back from data memory."""

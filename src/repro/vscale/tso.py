@@ -26,6 +26,18 @@ Microarchitecture
 * ``fence`` and ``halt`` stall in DX until the core's buffer has fully
   drained, so a drained machine has committed everything.
 
+State
+-----
+
+The design snapshots to the same interned flat slot vectors as
+Multi-V-scale (:class:`~repro.vscale.soc.VScaleSoC`), and expands
+through the same batched ``step_batch``: the grant select feeds only
+the arbiter's clock edge.  After the cores' and arbiter's blocks come
+the declared memory words, then per core ``STORE_BUFFER_CAPACITY``
+``(addr, data, pc)`` entries (oldest first, ``-1`` filling empty
+entries), then the in-flight transaction as ``(kind, core, addr, data,
+pc)`` with kind 0 for none, 1 for a load, 2 for a drain commit.
+
 Signals added to trace frames: ``core[i].sb_count``,
 ``core[i].commit_valid`` / ``core[i].commit_pc`` (the Memory-stage event
 of the committing store), and ``core[i].fwd_valid`` (the load in WB
@@ -34,15 +46,15 @@ forwarded from the store buffer).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RtlError
-from repro.isa import Fence, Halt, Lw, Sw, encode
+from repro.isa import Fence, Halt, Lw, Sw
 from repro.litmus.test import CompiledTest
-from repro.rtl.design import Design, Frame, FreeInput
-from repro.vscale.arbiter import Arbiter
-from repro.vscale.core import VScaleCore
-from repro.vscale.params import DMEM_LOAD, DMEM_NONE, DMEM_STORE, NUM_CORES
+from repro.rtl.design import Frame, SlotLayout
+from repro.vscale.memory import write_word_slots
+from repro.vscale.params import DMEM_LOAD, DMEM_STORE, NUM_CORES
+from repro.vscale.soc import VScaleSoC
 
 #: Store-buffer capacity per core.
 STORE_BUFFER_CAPACITY = 2
@@ -54,8 +66,16 @@ SbEntry = Tuple[int, int, int]
 #: ("L", core, addr) or ("D", core, addr, data, pc)
 Txn = Tuple
 
+#: Slot code of each in-flight transaction kind (0: none); ``read_slots``
+#: decodes in the same order.
+_TXN_CODES = {"L": 1, "D": 2}
+#: The transaction block: kind, core, addr, data, pc.
+_TXN_SLOTS = 5
+#: Slots per store-buffer entry: addr, data, pc.
+_ENTRY_SLOTS = 3
 
-class MultiVScaleTSO(Design):
+
+class MultiVScaleTSO(VScaleSoC):
     """The four-core V-scale SoC with per-core store buffers (x86-TSO).
 
     ``drain_order`` selects ``"fifo"`` (correct) or ``"lifo"`` — a
@@ -66,40 +86,20 @@ class MultiVScaleTSO(Design):
     """
 
     def __init__(self, compiled: CompiledTest, drain_order: str = "fifo"):
-        if compiled.num_cores != NUM_CORES:
-            raise RtlError(f"expected {NUM_CORES}-core compile")
         if drain_order not in ("fifo", "lifo"):
             raise RtlError(f"unknown drain order {drain_order!r}")
+        super().__init__(compiled)
         self.drain_order = drain_order
-        self.compiled = compiled
-        self.cores: List[VScaleCore] = []
-        for core_id, program in enumerate(compiled.programs):
-            if len(program) > compiled.imem_words_per_core:
-                raise RtlError(f"core {core_id}: program too long for imem")
-            self.cores.append(
-                VScaleCore(
-                    core_id,
-                    [encode(i) for i in program],
-                    base_pc=compiled.core_base_pc(core_id),
-                )
-            )
-        self.arbiter = Arbiter(NUM_CORES)
-        self.data_words = sorted(compiled.initial_data_memory)
         self.reset()
+        self.enable_array_state()
 
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
-        for core_id, core in enumerate(self.cores):
-            core.reset(self.compiled.reg_init[core_id])
-        self.arbiter.reset()
+        super().reset()
         self.array: Dict[int, int] = dict(self.compiled.initial_data_memory)
         self.buffers: List[List[SbEntry]] = [[] for _ in range(NUM_CORES)]
         self.pending: Optional[Txn] = None
-        self._tick_plan = None
-
-    def free_inputs(self) -> Sequence[FreeInput]:
-        return (FreeInput("arb_select", NUM_CORES),)
 
     # ------------------------------------------------------------------
 
@@ -212,14 +212,14 @@ class MultiVScaleTSO(Design):
         for word in self.data_words:
             frame[f"mem[{word}]"] = self.read_word(word)
 
-        self._tick_plan = (select, views, stall_dx, new_txn, load_out, commit)
+        self._pending_tick = (select, views, stall_dx, new_txn, load_out, commit)
         return frame
 
     def tick(self) -> None:
-        if self._tick_plan is None:
+        if self._pending_tick is None:
             raise RtlError("tick() called before eval_comb()")
-        select, views, stall_dx, new_txn, load_out, commit = self._tick_plan
-        self._tick_plan = None
+        select, views, stall_dx, new_txn, load_out, commit = self._pending_tick
+        self._pending_tick = None
 
         # Commit the in-flight drain to the array.
         if commit is not None:
@@ -251,29 +251,51 @@ class MultiVScaleTSO(Design):
 
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Hashable:
-        return (
-            tuple(core.snapshot() for core in self.cores),
-            self.arbiter.snapshot(),
-            tuple(sorted(self.array.items())),
-            tuple(tuple(buf) for buf in self.buffers),
-            self.pending,
+    def slot_layout(self) -> SlotLayout:
+        layout = super().slot_layout()
+        self._mem_base = layout.block("memory", len(self.data_words))
+        self._sb_base = layout.block(
+            "store buffers", NUM_CORES * STORE_BUFFER_CAPACITY * _ENTRY_SLOTS
         )
+        self._txn_base = layout.block("pending", _TXN_SLOTS)
+        return layout
 
-    def restore(self, state: Hashable) -> None:
-        core_states, arb_state, array, buffers, pending = state
-        for core, core_state in zip(self.cores, core_states):
-            core.restore(core_state)
-        self.arbiter.restore(arb_state)
-        self.array = dict(array)
-        self.buffers = [list(buf) for buf in buffers]
-        self.pending = pending
-        self._tick_plan = None
+    def write_slots(self, buf: List[int]) -> None:
+        super().write_slots(buf)
+        write_word_slots(self.array, self.data_words, buf, self._mem_base)
+        off = self._sb_base
+        for buffer in self.buffers:
+            empty = STORE_BUFFER_CAPACITY - len(buffer)
+            if empty < 0:
+                raise RtlError(f"store buffer over capacity: {buffer}")
+            for entry in buffer + [(-1,) * _ENTRY_SLOTS] * empty:
+                buf[off:off + _ENTRY_SLOTS] = entry
+                off += _ENTRY_SLOTS
+        pending = self.pending
+        row = (0,) if pending is None else (_TXN_CODES[pending[0]],) + pending[1:]
+        off = self._txn_base
+        buf[off:off + _TXN_SLOTS] = (row + (0,) * _TXN_SLOTS)[:_TXN_SLOTS]
+
+    def read_slots(self, vec) -> None:
+        super().read_slots(vec)
+        off = self._mem_base
+        self.array = {
+            word: vec[off + index] for index, word in enumerate(self.data_words)
+        }
+        width = STORE_BUFFER_CAPACITY * _ENTRY_SLOTS
+        self.buffers = [
+            [
+                tuple(vec[entry:entry + _ENTRY_SLOTS])
+                for entry in range(base, base + width, _ENTRY_SLOTS)
+                if vec[entry] >= 0
+            ]
+            for base in range(self._sb_base, self._sb_base + NUM_CORES * width, width)
+        ]
+        off = self._txn_base
+        kind, owner, addr, data, pc = vec[off:off + _TXN_SLOTS]
+        self.pending = (None, ("L", owner, addr), ("D", owner, addr, data, pc))[kind]
 
     # ------------------------------------------------------------------
-
-    def all_halted(self) -> bool:
-        return all(core.halted for core in self.cores)
 
     def drained(self) -> bool:
         return (
@@ -282,13 +304,6 @@ class MultiVScaleTSO(Design):
             and all(not buf for buf in self.buffers)
             and self.pending is None
         )
-
-    def register_results(self) -> Dict[str, int]:
-        results: Dict[str, int] = {}
-        for op in self.compiled.ops:
-            if op.op.is_load:
-                results[op.op.out] = self.cores[op.core].regs[op.data_reg]
-        return results
 
     def memory_results(self) -> Dict[str, int]:
         return {

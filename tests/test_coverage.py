@@ -34,7 +34,6 @@ from repro.obs.coverage import (
     saturation_curve,
     shape_features,
     shape_key,
-    state_signature,
     validate_coverage_report,
 )
 
@@ -143,14 +142,6 @@ class TestMergeAlgebra:
 
 
 class TestSignatures:
-    def test_repr_fallback_is_stable_and_discriminating(self):
-        class Dummy:
-            slot_layout_bound = False
-
-        design = Dummy()
-        assert state_signature(design, (1, 2)) == state_signature(design, (1, 2))
-        assert state_signature(design, (1, 2)) != state_signature(design, (2, 1))
-
     def test_array_backend_signature_matches_across_designs(self):
         # Equal physical states hash equal regardless of interning
         # order: build the same graph twice and compare per-test

@@ -160,6 +160,46 @@ class TestExecutor:
             executor.run(_square, _units(1))
 
 
+def _env(cache_dir=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if cache_dir is not None:
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
+    env.pop(FAULT_ENV, None)
+    return env
+
+
+_STDIN_MAIN = """
+from repro.errors import ReproError
+from repro.executor import Executor
+
+executor = Executor(2)
+try:
+    executor.run(pow, [("a", (2, 3)), ("b", (3, 2))])
+except ReproError as exc:
+    print("refused:", exc)
+print("pools_spawned", executor.counters["pools_spawned"])
+"""
+
+
+def test_pool_refused_for_a_main_read_from_stdin():
+    """Spawn workers cannot re-import a ``python -`` main: the executor
+    raises one ReproError instead of spawning a pool whose every unit
+    would fail."""
+    proc = subprocess.run(
+        [sys.executable, "-"],
+        input=_STDIN_MAIN,
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "refused: cannot start worker processes" in proc.stdout
+    assert "'<stdin>'" in proc.stdout
+    assert "pools_spawned 0" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # The suite failure contract, end to end through the CLI.
 # ---------------------------------------------------------------------------
@@ -167,16 +207,13 @@ class TestExecutor:
 SUITE = ["mp", "sb", "lb", "iwp24"]
 
 
-def _suite(cache_dir, report, jobs, fault=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_CACHE_DIR"] = str(cache_dir)
-    env.pop(FAULT_ENV, None)
+def _suite(cache_dir, report, jobs, fault=None, tests=SUITE):
+    env = _env(cache_dir)
     if fault is not None:
         env[FAULT_ENV] = fault
     return subprocess.run(
         [
-            sys.executable, "-m", "repro", "suite", "--only", *SUITE,
+            sys.executable, "-m", "repro", "suite", "--only", *tests,
             "--jobs", str(jobs), "--report", str(report),
         ],
         capture_output=True,
@@ -244,3 +281,14 @@ def test_parallel_fuzz_job_runs_on_the_shared_executor(tmp_path):
         pool = client.stats()["pool"]
         assert pool["units_dispatched"] > 0
         assert pool["pools_spawned"] == 1
+
+
+def test_replaying_a_complete_suite_is_not_a_resume(tmp_path):
+    """A second run of a finished campaign hits every verdict and
+    resumes nothing: its journal was complete when it attached."""
+    tests = ["mp", "lb"]
+    for run in ("cold", "warm"):
+        proc = _suite(tmp_path / "cache", tmp_path / f"{run}.json", 1, tests=tests)
+        assert proc.returncode == 0, proc.stderr
+    assert "cache: verdict 2/2 hits" in proc.stdout
+    assert "resumed" not in proc.stdout

@@ -2,7 +2,7 @@
 
 Multi-V-scale is stepped three ways.  The verifier's graph expands each
 state through the batched ``MultiVScale.step_batch`` (one settle shared
-by every grant); the generic ``Design.step_batch`` restores, settles
+by every grant); the test-side reference loop restores, settles
 and ticks once per input; and the trace harvest and the outcome
 enumeration step raw slot tuples through the frame-free compiled
 ``state_step`` kernel (``repro.vscale.kernel``).  All three are
@@ -33,6 +33,7 @@ from repro.sva import AssumptionChecker
 from repro.verifier.reach import ReachGraph
 from repro.vscale.soc import MultiVScale
 from repro.vscale.trace import harvest_traces
+from tests.test_state_backend import per_input_step_batch
 from tests.test_trace_harvest import assert_same_harvest, reference_harvest
 
 SUBSET = ["mp", "sb", "lb", "iwp24", "n4"]
@@ -40,10 +41,10 @@ VARIANTS = ["fixed", "buggy"]
 
 
 class _GenericMultiVScale(MultiVScale):
-    """Multi-V-scale expanded by the generic per-input
-    restore/eval_comb/tick loop instead of its batched override."""
+    """Multi-V-scale expanded by the per-input restore/eval_comb/tick
+    reference loop instead of its batched ``step_batch``."""
 
-    step_batch = Design.step_batch
+    step_batch = per_input_step_batch
 
 
 def _generic_design_factory(compiled, variant):

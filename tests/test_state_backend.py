@@ -5,8 +5,9 @@ verifier's graph expands each state through Multi-V-scale's batched
 ``step_batch`` (``repro.rtl.design``).  That path must reproduce the
 verdicts pinned in ``tests/fixtures/golden_verdicts.json`` — captured
 when a nested-tuple snapshot backend still existed as the reference —
-and build the same graphs and counterexample waveforms as the generic
-one-input-at-a-time expansion and plain simulation.  These tests also
+and build the same graphs and counterexample waveforms as the
+one-input-at-a-time reference expansion (:func:`per_input_step_batch`)
+and plain simulation, for Multi-V-scale and Multi-V-scale-TSO alike.  These tests also
 pin the representation-level wins (hash-consing, shared frame keys,
 compact pickles, snapshot/restore round-trips, an injective flat
 encoding), and that no option selects a state backend any more.
@@ -30,11 +31,12 @@ from repro import RTLCheck, get_test
 from repro.errors import ReproError
 from repro.litmus import compile_test
 from repro.mapping import MultiVScaleProgramMapping
-from repro.rtl.design import Design, Simulator, StateInterner
+from repro.rtl.design import Simulator, StateInterner
 from repro.rtl.vcd import render_vcd
 from repro.sva import AssumptionChecker
 from repro.verifier.reach import ReachGraph
 from repro.vscale.soc import MultiVScale
+from repro.vscale.tso import MultiVScaleTSO
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from regen_golden_verdicts import verification_digest  # noqa: E402
@@ -49,11 +51,55 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_verdicts.json"
 GOLDEN = {row["test"]: row for row in json.loads(FIXTURE.read_text())["tests"]}
 
 
-class _UnbatchedMultiVScale(MultiVScale):
-    """Multi-V-scale expanded by the generic per-input
-    restore/eval_comb/tick loop instead of its batched override."""
+def component_state(component):
+    """Every attribute of a core or the arbiter as one hashable value,
+    read with ``vars()`` so it is independent of the slot encoding and
+    covers any register a future change adds."""
+    def frozen(value):
+        if isinstance(value, list):
+            return tuple(frozen(item) for item in value)
+        return value
 
-    step_batch = Design.step_batch
+    return tuple(sorted((k, frozen(v)) for k, v in vars(component).items()))
+
+
+def per_input_step_batch(design, state, input_space, frame_hook):
+    """The reference expansion ``Design.step_batch`` must equal: restore
+    ``state``, settle, ask ``frame_hook(frame, 1)`` and tick, once per
+    input choice."""
+    results = []
+    for inputs in input_space:
+        design.restore(state)
+        frame = design.eval_comb(inputs)
+        if not frame_hook(frame, 1):
+            results.append(None)
+            continue
+        design.tick()
+        results.append((frame, design.snapshot()))
+    return results
+
+
+class _UnbatchedMultiVScale(MultiVScale):
+    """Multi-V-scale expanded by the per-input reference loop instead
+    of its batched ``step_batch``."""
+
+    step_batch = per_input_step_batch
+
+
+class _UnbatchedMultiVScaleTSO(MultiVScaleTSO):
+    """Multi-V-scale-TSO expanded by the per-input reference loop."""
+
+    step_batch = per_input_step_batch
+
+
+#: Batched-vs-reference graph inputs: ``(test, design variant, design
+#: class, per-input reference class)``.
+GRAPH_INPUTS = {
+    "fixed": ("mp", "fixed", MultiVScale, _UnbatchedMultiVScale),
+    "buggy": ("mp", "buggy", MultiVScale, _UnbatchedMultiVScale),
+    "tso-fifo": ("sb", "fifo", MultiVScaleTSO, _UnbatchedMultiVScaleTSO),
+    "tso-lifo": ("sb", "lifo", MultiVScaleTSO, _UnbatchedMultiVScaleTSO),
+}
 
 
 def _build_full_graph(name, variant, design_class=MultiVScale):
@@ -120,12 +166,14 @@ class TestVerdictEquivalence:
 class TestGraphStructure:
     """Node-for-node, edge-for-edge agreement of the built graphs."""
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", list(GRAPH_INPUTS))
     def test_graphs_isomorphic_by_construction_order(self, variant):
-        """Multi-V-scale's batched expansion (one settle shared by every
-        grant) builds the graph the generic per-input loop builds."""
-        batched, _ = _build_full_graph("mp", variant)
-        generic, _ = _build_full_graph("mp", variant, _UnbatchedMultiVScale)
+        """The batched expansion (one settle shared by every grant)
+        builds the graph the per-input reference loop builds, on
+        Multi-V-scale and on Multi-V-scale-TSO."""
+        name, design_variant, design_class, reference_class = GRAPH_INPUTS[variant]
+        batched, _ = _build_full_graph(name, design_variant, design_class)
+        generic, _ = _build_full_graph(name, design_variant, reference_class)
         assert batched.num_nodes == generic.num_nodes
         assert batched.expanded_nodes == generic.expanded_nodes
         assert batched.sim_transitions == generic.sim_transitions
@@ -198,8 +246,8 @@ class TestSnapshotRestore:
         equality."""
         memory = design.memory
         return (
-            tuple(core.snapshot() for core in design.cores),
-            design.arbiter.snapshot(),
+            tuple(component_state(core) for core in design.cores),
+            component_state(design.arbiter),
             (tuple(sorted(memory.array.items())), memory.pending),
         )
 
@@ -343,21 +391,3 @@ class TestBackendSelection:
             RTLCheck(state_backend="linked-list")
         with pytest.raises(TypeError):
             MultiVScale(compile_test(get_test("mp")), "fixed", "array")
-
-
-class TestNoBackendKnob:
-    """Designs without a slot layout keep their own snapshots."""
-
-    def test_design_without_slot_layout_keeps_own_snapshots(self):
-        """Multi-V-scale-TSO's store buffers are variable-size, so it
-        declares no slot layout and snapshots structurally."""
-        from repro.vscale.tso import MultiVScaleTSO
-
-        design = MultiVScaleTSO(compile_test(get_test("mp")))
-        assert design.enable_array_state() is False
-        assert not design.slot_layout_bound
-        assert design.states_interned == 0
-        design.reset()
-        snap = design.snapshot()
-        assert not isinstance(snap, int)
-        assert design.state_vector(snap) is None

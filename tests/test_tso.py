@@ -21,6 +21,7 @@ from repro.rtl import Simulator
 from repro.uhb import microarch_observable
 from repro.uspec import load_model
 from repro.vscale import STORE_BUFFER_CAPACITY, MultiVScaleTSO
+from tests.test_state_backend import component_state
 
 
 def run_to_drain(soc, schedule, max_cycles=150):
@@ -154,6 +155,87 @@ class TestTsoDesignBehaviour:
             soc.eval_comb({"arb_select": select})
             soc.tick()
         assert soc.snapshot() == snap
+
+
+class TestTsoSlotState:
+    """Multi-V-scale-TSO snapshots to interned slot vectors; the
+    encoding must lose nothing and restore must resume exactly."""
+
+    @staticmethod
+    def _structural_state(soc):
+        """The state read straight off the design's objects, independent
+        of the slot encoding."""
+        return (
+            tuple(component_state(core) for core in soc.cores),
+            component_state(soc.arbiter),
+            tuple(sorted(soc.array.items())),
+            tuple(tuple(buffer) for buffer in soc.buffers),
+            soc.pending,
+        )
+
+    @staticmethod
+    def _run(soc, schedule):
+        frames = []
+        for select in schedule:
+            frames.append(soc.eval_comb({"arb_select": select}))
+            soc.tick()
+        return frames
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["sb", "mp", "rfi006", "co-mp"]),
+        drain=st.sampled_from(["fifo", "lifo"]),
+        prefix_a=st.lists(st.integers(0, 3), max_size=14),
+        prefix_b=st.lists(st.integers(0, 3), max_size=14),
+    )
+    def test_slot_encoding_is_injective(self, name, drain, prefix_a, prefix_b):
+        """Two executions intern to one id exactly when their cores,
+        arbiter, array, store buffers and pending transaction agree."""
+        soc = MultiVScaleTSO(compile_test(get_test(name)), drain)
+        structural, ids = [], []
+        for schedule in (prefix_a, prefix_b):
+            soc.reset()
+            self._run(soc, schedule)
+            structural.append(self._structural_state(soc))
+            ids.append(soc.snapshot())
+        assert (ids[0] == ids[1]) == (structural[0] == structural[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        drain=st.sampled_from(["fifo", "lifo"]),
+        prefix=st.lists(st.integers(0, 3), max_size=14),
+        detour=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        suffix=st.lists(st.integers(0, 3), min_size=1, max_size=14),
+    )
+    def test_restore_resumes_identical_frames(self, drain, prefix, detour, suffix):
+        compiled = compile_test(get_test("rfi006"))
+        soc = MultiVScaleTSO(compiled, drain)
+        self._run(soc, prefix)
+        saved = soc.snapshot()
+        expected_state = self._structural_state(soc)
+        self._run(soc, detour)
+        soc.restore(saved)
+        assert self._structural_state(soc) == expected_state
+        reference = MultiVScaleTSO(compiled, drain)
+        self._run(reference, prefix)
+        assert self._run(soc, suffix) == self._run(reference, suffix)
+
+    def test_buffers_fill_to_capacity_within_the_layout(self):
+        """Three back-to-back stores with core 0 never granted hold two
+        buffered entries, and the state still round-trips."""
+        test = LitmusTest.of(
+            "3w",
+            [[store("x", 1), store("y", 1), store("z", 1)]],
+            Outcome.of({}),
+        )
+        soc = MultiVScaleTSO(compile_test(test))
+        self._run(soc, [3] * 12)
+        assert len(soc.buffers[0]) == STORE_BUFFER_CAPACITY
+        state = self._structural_state(soc)
+        snap = soc.snapshot()
+        soc.reset()
+        soc.restore(snap)
+        assert self._structural_state(soc) == state
 
 
 class TestTsoNodeMapping:
