@@ -59,6 +59,17 @@ store-buffer drain orders (``fifo``, and ``lifo`` through the
 and modeled hours, in a few minutes on one core:
 
     PYTHONPATH=src python tools/regen_golden_verdicts.py --tso-only
+
+``--sva-only`` runs no verifier: it rewrites the generation pin
+(``tests/fixtures/sva_generation.json``).  For every suite test on
+``RTLCheck()`` and on ``RTLCheck.for_tso()``, and for the ``fuzz``
+workload's 20 programs on ``RTLCheck()``, it records digests of the
+generated ``sva_text``, of the directive-name list, and of the
+``repr`` of every axiom's ground formula in the ``"rtl"`` mode the
+Assertion Generator uses and the ``"check"`` mode of
+:mod:`repro.uhb.verify`, in a few seconds:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --sva-only
 """
 
 from __future__ import annotations
@@ -82,12 +93,14 @@ SUITE_FIXTURE = os.path.join(FIXTURE_DIR, "paper_suite.json")
 HARVEST_FIXTURE = os.path.join(FIXTURE_DIR, "trace_harvest.json")
 RTL_FIXTURE = os.path.join(FIXTURE_DIR, "rtl_enumeration.json")
 TSO_FIXTURE = os.path.join(FIXTURE_DIR, "tso_verdicts.json")
+SVA_FIXTURE = os.path.join(FIXTURE_DIR, "sva_generation.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
 SUITE_KIND = "rtlcheck-paper-suite"
 HARVEST_KIND = "rtlcheck-trace-harvest"
 RTL_KIND = "rtlcheck-rtl-enumeration"
 TSO_KIND = "rtlcheck-tso-verdicts"
+SVA_KIND = "rtlcheck-sva-generation"
 
 #: ``RTLCheck.for_tso()`` memory variant per store-buffer drain order.
 TSO_DRAINS = {"fifo": "fixed", "lifo": "buggy"}
@@ -323,6 +336,64 @@ def tso_row(name: str, drain: str) -> dict:
     }
 
 
+def text_digest(text: str) -> str:
+    """sha256 of ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sva_cases() -> list:
+    """``(source, model, test)`` the generation pin covers, in pin
+    order: ``model`` is ``"mvs"`` (``RTLCheck()``) or ``"tso"``
+    (``RTLCheck.for_tso()``)."""
+    from repro import paper_suite
+    from repro.difftest.generate import FuzzGenerator
+
+    suite = paper_suite()
+    generator = FuzzGenerator(
+        RTL_FUZZ["seed"], RTL_FUZZ["max_procs"], RTL_FUZZ["long_programs"]
+    )
+    cases = [("suite", model, test) for model in ("mvs", "tso") for test in suite]
+    cases += [
+        ("fuzz", "mvs", test) for test in generator.suite(RTL_FUZZ["count"])
+    ]
+    return cases
+
+
+def ground_digest(model, compiled, mode: str) -> str:
+    """sha256 of every axiom's ground formula ``repr`` in ``mode``, in
+    axiom order; a grounding that raises pins its error message."""
+    from repro.errors import ReproError
+    from repro.uhb.verify import ground_axioms
+
+    try:
+        grounds = ground_axioms(model, compiled, mode=mode)
+    except ReproError as exc:
+        return text_digest(f"error: {exc}")
+    text = json.dumps([[name, repr(ground)] for name, ground in grounds.items()])
+    return text_digest(text)
+
+
+def sva_row(source: str, model: str, test) -> dict:
+    """One generation pin row for ``test`` on ``model``."""
+    from repro import RTLCheck
+    from repro.cache.keys import litmus_digest
+
+    checker = RTLCheck() if model == "mvs" else RTLCheck.for_tso()
+    generated = checker.generate(test)
+    names = [d.name for d in generated.assumptions + generated.assertions]
+    return {
+        "test": test.name,
+        "source": source,
+        "model": model,
+        "litmus_digest": litmus_digest(test),
+        "assertions": len(generated.assertions),
+        "sva_text": text_digest(generated.sva_text),
+        "directive_names": text_digest(json.dumps(names)),
+        "ground_rtl": ground_digest(checker.model, generated.compiled, "rtl"),
+        "ground_check": ground_digest(checker.model, generated.compiled, "check"),
+    }
+
+
 def write_document(document: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
@@ -354,8 +425,28 @@ def main(argv=None) -> int:
         action="store_true",
         help="write only the x86-TSO verifier pin",
     )
+    parser.add_argument(
+        "--sva-only",
+        action="store_true",
+        help="write only the SVA generation pin (no verifier runs)",
+    )
     parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.sva_only:
+        output = args.output or SVA_FIXTURE
+        rows = [sva_row(*case) for case in sva_cases()]
+        write_document(
+            {
+                "schema_version": 1,
+                "kind": SVA_KIND,
+                "fuzz": RTL_FUZZ,
+                "tests": rows,
+            },
+            output,
+        )
+        print(f"wrote {len(rows)} SVA generation rows to {output}")
+        return 0
 
     if args.tso_only:
         from repro import paper_suite
