@@ -23,12 +23,12 @@ Translates each µspec axiom, grounded for one litmus test in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SvaError
 from repro.litmus.test import CompiledTest
-from repro.mapping.node_mapping import NodeMapping
+from repro.mapping.node_mapping import MapNode, NodeMapping
 from repro.sva.ast import (
     BNot,
     BoolExpr,
@@ -41,6 +41,7 @@ from repro.sva.ast import (
     SBool,
     SRepeat,
     Sig,
+    SvaText,
     bor,
     pand,
     por,
@@ -88,35 +89,53 @@ def rewrite_negations(formula: uast.Formula) -> uast.Formula:
 
 @dataclass
 class AssertionGenerator:
-    """Generates per-test SV assertions from a µspec model."""
+    """Generates per-test SV assertions from a µspec model.
+
+    Node mappings and event sequences are memoized per generator, so
+    every property that mentions an event shares one ``BoolExpr`` for
+    it, and every repeat of an edge one sequence: each is built,
+    rendered and (in a cached monitor) pickled once.  ``text`` renders
+    the properties for deduplication; pass it on to
+    :func:`~repro.sva.emit.emit_sva_file` so the SVA file reuses those
+    texts.
+    """
 
     model: Model
     compiled: CompiledTest
     node_mapping: NodeMapping
+    text: SvaText = field(
+        default_factory=SvaText, init=False, repr=False, compare=False
+    )
+    _mapped: Dict[Tuple[MapNode, Optional[int]], BoolExpr] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _sequences: Dict[tuple, Property] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def _map(self, node: Tuple[int, str], env: Dict[int, int]) -> BoolExpr:
-        uid, _stage = node
-        return self.node_mapping.map_node(node, env.get(uid))
+    def _map(self, node: MapNode, value: Optional[int]) -> BoolExpr:
+        key = (node, value)
+        expr = self._mapped.get(key)
+        if expr is None:
+            expr = self._mapped[key] = self.node_mapping.map_node(node, value)
+        return expr
 
-    def _events_of_interest(self, nodes: List[Tuple[int, str]]) -> BoolExpr:
-        """``map(n1, None) || map(n2, None) || ...`` — event occurrences
-        regardless of data values (delay cycles must exclude them)."""
-        return bor(*(self.node_mapping.map_node(n, None) for n in nodes))
-
-    def _edge_property(self, edge: GroundEdge, env: Dict[int, int]) -> Property:
-        delay_expr = BNot(self._events_of_interest([edge.src, edge.dst]))
-        seq = scat(
-            SRepeat(delay_expr, 0, None),
-            SBool(self._map(edge.src, env)),
-            SRepeat(delay_expr, 0, None),
-            SBool(self._map(edge.dst, env)),
-        )
-        return PSeq(seq)
-
-    def _node_property(self, node: Tuple[int, str], env: Dict[int, int]) -> Property:
-        delay_expr = BNot(self.node_mapping.map_node(node, None))
-        seq = scat(SRepeat(delay_expr, 0, None), SBool(self._map(node, env)))
-        return PSeq(seq)
+    def _sequence(self, nodes: Tuple[MapNode, ...], env: Dict[int, int]) -> Property:
+        """The events of ``nodes`` in order, each preceded by any number
+        of delay cycles in which none of them occurs, whatever the data
+        values (§4.3); ``env`` pins load values."""
+        values = tuple(env.get(uid) for uid, _stage in nodes)
+        key = (nodes, values)
+        prop = self._sequences.get(key)
+        if prop is None:
+            delay = SRepeat(
+                BNot(bor(*(self._map(node, None) for node in nodes))), 0, None
+            )
+            parts = []
+            for node, value in zip(nodes, values):
+                parts += [delay, SBool(self._map(node, value))]
+            prop = self._sequences[key] = PSeq(scat(*parts))
+        return prop
 
     def _load_value_property(self, atom: LoadValue, env: Dict[int, int]) -> Property:
         """A bare load-value constraint asserts the load occurs at WB
@@ -124,15 +143,15 @@ class AssertionGenerator:
         node = (atom.uid, "Writeback")
         local = dict(env)
         local[atom.uid] = atom.value
-        return self._node_property(node, local)
+        return self._sequence((node,), local)
 
     def _translate(self, formula: uast.Formula, env: Dict[int, int]) -> Property:
         if isinstance(formula, uast.Truth):
             return PConst(formula.value)
         if isinstance(formula, GroundEdge):
-            return self._edge_property(formula, env)
+            return self._sequence((formula.src, formula.dst), env)
         if isinstance(formula, GroundNode):
-            return self._node_property(formula.node, env)
+            return self._sequence((formula.node,), env)
         if isinstance(formula, LoadValue):
             return self._load_value_property(formula, env)
         if isinstance(formula, uast.Or):
@@ -175,10 +194,11 @@ class AssertionGenerator:
         directives: List[Directive] = []
         seen = set()
         test_name = _sanitize(self.compiled.test.name)
+        first = Sig("first")
         for axiom in self.model.axioms:
             for index, prop in enumerate(self.axiom_properties(axiom)):
-                guarded = PImpl(Sig("first"), prop)
-                text = guarded.emit()
+                guarded = PImpl(first, prop)
+                text = self.text(guarded)
                 if text in seen:
                     continue
                 seen.add(text)

@@ -189,10 +189,13 @@ class RTLCheck:
             program_mapping = self.program_mapping_factory(compiled)
             node_mapping = self.node_mapping_factory(compiled)
             assumptions = program_mapping.all_assumptions()
-            assertions = AssertionGenerator(
+            generator = AssertionGenerator(
                 model=self.model, compiled=compiled, node_mapping=node_mapping
-            ).generate()
-            sva_text = emit_sva_file(test.name, assumptions + assertions)
+            )
+            assertions = generator.generate()
+            sva_text = emit_sva_file(
+                test.name, assumptions + assertions, text=generator.text
+            )
         recorder = obs.get_recorder()
         if recorder.enabled:
             recorder.count("generator.assumptions", len(assumptions))

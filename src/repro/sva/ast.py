@@ -15,21 +15,52 @@ compile itself for the trace monitor in :mod:`repro.sva.monitor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SvaError
 from repro.rtl.design import Frame
+
+
+class SvaText:
+    """Renders SVA nodes as SystemVerilog, each distinct node object once.
+
+    Generated properties share subtrees (one node mapping per event),
+    so a renderer kept across one test's properties renders each shared
+    node once, and a text it returned is returned again, not rebuilt.
+    The texts live in the renderer, never on the nodes: they stay out of
+    pickles, ``==``, ``hash`` and ``repr``, and go when it goes.
+    """
+
+    def __init__(self):
+        self._texts: Dict[int, Tuple[object, str]] = {}
+
+    def __call__(self, node: "_Node") -> str:
+        entry = self._texts.get(id(node))
+        if entry is None:
+            # The entry holds ``node`` so its id cannot be reused.
+            entry = self._texts[id(node)] = (node, node.render(self))
+        return entry[1]
+
+
+class _Node:
+    """An SVA node: :meth:`render` builds its text from its children's,
+    read through ``text``."""
+
+    def emit(self) -> str:
+        """This node as SystemVerilog text."""
+        return SvaText()(self)
+
+    def render(self, text: SvaText) -> str:
+        raise NotImplementedError
+
 
 # ---------------------------------------------------------------------------
 # Boolean expressions over a cycle's signals
 # ---------------------------------------------------------------------------
 
 
-class BoolExpr:
+class BoolExpr(_Node):
     """Base class for single-cycle boolean expressions."""
-
-    def emit(self) -> str:
-        raise NotImplementedError
 
     def evaluate(self, frame: Frame) -> bool:
         raise NotImplementedError
@@ -39,7 +70,7 @@ class BoolExpr:
 class BConst(BoolExpr):
     value: bool
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         return "1'b1" if self.value else "1'b0"
 
     def evaluate(self, frame: Frame) -> bool:
@@ -52,7 +83,7 @@ class Sig(BoolExpr):
 
     name: str
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         return self.name
 
     def evaluate(self, frame: Frame) -> bool:
@@ -67,7 +98,7 @@ class SigEq(BoolExpr):
     value: int
     width: int = 32
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         return f"{self.name} == {self.width}'d{self.value}"
 
     def evaluate(self, frame: Frame) -> bool:
@@ -78,8 +109,8 @@ class SigEq(BoolExpr):
 class BNot(BoolExpr):
     body: BoolExpr
 
-    def emit(self) -> str:
-        return f"~({self.body.emit()})"
+    def render(self, text: SvaText) -> str:
+        return f"~({text(self.body)})"
 
     def evaluate(self, frame: Frame) -> bool:
         return not self.body.evaluate(frame)
@@ -89,8 +120,8 @@ class BNot(BoolExpr):
 class BAnd(BoolExpr):
     operands: Tuple[BoolExpr, ...]
 
-    def emit(self) -> str:
-        return " && ".join(_paren(op) for op in self.operands)
+    def render(self, text: SvaText) -> str:
+        return " && ".join(_paren(op, text) for op in self.operands)
 
     def evaluate(self, frame: Frame) -> bool:
         return all(op.evaluate(frame) for op in self.operands)
@@ -100,18 +131,18 @@ class BAnd(BoolExpr):
 class BOr(BoolExpr):
     operands: Tuple[BoolExpr, ...]
 
-    def emit(self) -> str:
-        return " || ".join(_paren(op) for op in self.operands)
+    def render(self, text: SvaText) -> str:
+        return " || ".join(_paren(op, text) for op in self.operands)
 
     def evaluate(self, frame: Frame) -> bool:
         return any(op.evaluate(frame) for op in self.operands)
 
 
-def _paren(expr: BoolExpr) -> str:
-    text = expr.emit()
+def _paren(expr: BoolExpr, text: SvaText) -> str:
+    rendered = text(expr)
     if isinstance(expr, (BAnd, BOr)):
-        return f"({text})"
-    return text
+        return f"({rendered})"
+    return rendered
 
 
 def band(*operands: BoolExpr) -> BoolExpr:
@@ -141,11 +172,8 @@ def bor(*operands: BoolExpr) -> BoolExpr:
 # ---------------------------------------------------------------------------
 
 
-class Sequence:
+class Sequence(_Node):
     """Base class for SVA sequences (consume one frame per cycle)."""
-
-    def emit(self) -> str:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -154,8 +182,8 @@ class SBool(Sequence):
 
     expr: BoolExpr
 
-    def emit(self) -> str:
-        return f"({self.expr.emit()})"
+    def render(self, text: SvaText) -> str:
+        return f"({text(self.expr)})"
 
 
 @dataclass(frozen=True)
@@ -170,9 +198,9 @@ class SRepeat(Sequence):
         if self.lo < 0 or (self.hi is not None and self.hi < self.lo):
             raise SvaError(f"bad repetition bounds [{self.lo}:{self.hi}]")
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         hi = "$" if self.hi is None else str(self.hi)
-        return f"({self.expr.emit()}) [*{self.lo}:{hi}]"
+        return f"({text(self.expr)}) [*{self.lo}:{hi}]"
 
 
 @dataclass(frozen=True)
@@ -187,8 +215,8 @@ class SCat(Sequence):
         if self.delay < 1:
             raise SvaError("only ##1-or-more concatenation is supported")
 
-    def emit(self) -> str:
-        return f"{self.left.emit()} ##{self.delay} {self.right.emit()}"
+    def render(self, text: SvaText) -> str:
+        return f"{text(self.left)} ##{self.delay} {text(self.right)}"
 
 
 def scat(*parts: Sequence) -> Sequence:
@@ -206,11 +234,8 @@ def scat(*parts: Sequence) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
-class Property:
+class Property(_Node):
     """Base class for SVA properties."""
-
-    def emit(self) -> str:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -219,15 +244,15 @@ class PSeq(Property):
 
     seq: Sequence
 
-    def emit(self) -> str:
-        return f"({self.seq.emit()})"
+    def render(self, text: SvaText) -> str:
+        return f"({text(self.seq)})"
 
 
 @dataclass(frozen=True)
 class PConst(Property):
     value: bool
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         return "(1)" if self.value else "(0)"
 
 
@@ -235,16 +260,16 @@ class PConst(Property):
 class PAnd(Property):
     operands: Tuple[Property, ...]
 
-    def emit(self) -> str:
-        return "(" + " and ".join(op.emit() for op in self.operands) + ")"
+    def render(self, text: SvaText) -> str:
+        return "(" + " and ".join(text(op) for op in self.operands) + ")"
 
 
 @dataclass(frozen=True)
 class POr(Property):
     operands: Tuple[Property, ...]
 
-    def emit(self) -> str:
-        return "(" + " or ".join(op.emit() for op in self.operands) + ")"
+    def render(self, text: SvaText) -> str:
+        return "(" + " or ".join(text(op) for op in self.operands) + ")"
 
 
 @dataclass(frozen=True)
@@ -255,8 +280,8 @@ class PImpl(Property):
     antecedent: BoolExpr
     consequent: Property
 
-    def emit(self) -> str:
-        return f"{self.antecedent.emit()} |-> {self.consequent.emit()}"
+    def render(self, text: SvaText) -> str:
+        return f"{text(self.antecedent)} |-> {text(self.consequent)}"
 
 
 def pand(*operands: Property) -> Property:
@@ -287,7 +312,7 @@ def por(*operands: Property) -> Property:
 
 
 @dataclass(frozen=True)
-class Directive:
+class Directive(_Node):
     """An ``assert property`` or ``assume property`` directive.
 
     ``structural`` marks assumptions that our verifier enforces by
@@ -305,6 +330,6 @@ class Directive:
         if self.kind not in ("assert", "assume"):
             raise SvaError(f"bad directive kind {self.kind!r}")
 
-    def emit(self) -> str:
+    def render(self, text: SvaText) -> str:
         label = f"{self.name}: " if self.name else ""
-        return f"{label}{self.kind} property (@({self.clock}) {self.prop.emit()});"
+        return f"{label}{self.kind} property (@({self.clock}) {text(self.prop)});"

@@ -8,17 +8,23 @@ that binds to the Multi-V-scale hierarchy.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.sva.ast import Directive
+from repro.sva.ast import Directive, SvaText
 
 
 def emit_sva_file(
     test_name: str,
     directives: Sequence[Directive],
     design_name: str = "multi_vscale",
+    text: Optional[SvaText] = None,
 ) -> str:
-    """Render all ``directives`` for ``test_name`` as SystemVerilog."""
+    """Render all ``directives`` for ``test_name`` as SystemVerilog.
+
+    ``text`` is the renderer that already rendered the directives'
+    properties (the Assertion Generator's, which renders each property
+    to deduplicate it); those texts are reused, not rebuilt."""
+    text = text or SvaText()
     lines = [
         f"// Generated by RTLCheck (reproduction) for litmus test {test_name}",
         f"// Properties bind into the {design_name} top-level module.",
@@ -40,11 +46,11 @@ def emit_sva_file(
     if assumes:
         lines.append("// ------- assumptions (Assumption Generator) -------")
         for d in assumes:
-            lines.append(d.emit())
+            lines.append(text(d))
         lines.append("")
     if asserts:
         lines.append("// ------- assertions (Assertion Generator) -------")
         for d in asserts:
-            lines.append(d.emit())
+            lines.append(text(d))
         lines.append("")
     return "\n".join(lines)

@@ -11,7 +11,7 @@ predicates (``SameData``, ``DataFromInitialStateAtPA``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -50,7 +50,19 @@ class EdgeRef:
 
 
 class Formula:
-    """Base class for µspec formulas."""
+    """Base class for µspec formulas.
+
+    :func:`sort_key` caches a formula's key on the object.  The cache is
+    not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it,
+    and ``__getstate__`` leaves it out of pickles and copies.
+    """
+
+    def __getstate__(self):
+        state = self.__dict__
+        if "_sort_key" in state:
+            state = dict(state)
+            del state["_sort_key"]
+        return state
 
 
 @dataclass(frozen=True)
@@ -173,12 +185,38 @@ class Model:
         return self.stages.index(name)
 
 
+def sort_key(formula: Formula) -> str:
+    """``repr(formula)``, computed once per formula object.
+
+    ``And``/``Or``/``Not`` compose their key from their children's
+    cached keys, exactly as the dataclass ``repr`` nests, so a ground
+    formula's tree is rendered once however often it is re-sorted.
+    Formulas are equal exactly when their keys are.
+    """
+    key = formula.__dict__.get("_sort_key")
+    if key is None:
+        if isinstance(formula, (And, Or)):
+            keys = [sort_key(op) for op in formula.operands]
+            inner = keys[0] + "," if len(keys) == 1 else ", ".join(keys)
+            key = f"{type(formula).__qualname__}(operands=({inner}))"
+        elif isinstance(formula, Not):
+            key = f"Not(body={sort_key(formula.body)})"
+        else:
+            key = repr(formula)
+        object.__setattr__(formula, "_sort_key", key)
+    return key
+
+
 def _canonical(operands: List[Formula]) -> Tuple[Formula, ...]:
     """Deduplicate and sort for a canonical operand tuple, so that e.g.
     the two groundings of a symmetric total-order axiom (pair (a,b) and
-    pair (b,a)) collapse to a single formula."""
-    unique = list(dict.fromkeys(operands))
-    return tuple(sorted(unique, key=repr))
+    pair (b,a)) collapse to a single formula.  Operands are ordered by
+    ``repr`` (read from :func:`sort_key`), the first of equal ones
+    kept."""
+    unique: Dict[str, Formula] = {}
+    for op in operands:
+        unique.setdefault(sort_key(op), op)
+    return tuple(unique[key] for key in sorted(unique))
 
 
 def conjunction(operands: Sequence[Formula]) -> Formula:

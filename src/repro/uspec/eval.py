@@ -218,10 +218,15 @@ class _Evaluator:
                 parts.append(part)
             return disjunction(parts)
         if isinstance(formula, ast.Implies):
+            # Short-circuit like ``/\``: a false premise guards a
+            # conclusion that is undefined for this binding, and skips
+            # grounding it (Read_Values macros, nested quantifiers).
             premise = self.eval(formula.premise, bindings)
+            if isinstance(premise, Truth) and not premise.value:
+                return Truth(True)
             conclusion = self.eval(formula.conclusion, bindings)
             if isinstance(premise, Truth):
-                return conclusion if premise.value else Truth(True)
+                return conclusion
             return disjunction([ast.Not(premise), conclusion])
         if isinstance(formula, ast.Quantifier):
             return self._eval_quantifier(formula, bindings)

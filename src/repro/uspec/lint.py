@@ -24,8 +24,13 @@ Checked rules (each yields a :class:`LintFinding`):
     (§4.2), so the axiom generates no assertions and its orderings go
     unchecked at RTL.  Reported as a warning rather than an error.
 ``unknown-predicate`` / ``unknown-stage`` / ``undefined-macro`` /
-``macro-arity`` / ``macro-recursion``
-    Structural problems that would fail at evaluation time.
+``macro-arity`` / ``macro-recursion`` / ``unbound-variable``
+    Structural problems that would fail at evaluation time.  Grounding
+    short-circuits a false premise, so such a problem inside a
+    conclusion that no binding reaches never fails there; the linter
+    reports it all the same.  A variable is bound by an enclosing
+    quantifier or macro parameter, or, inside a macro body, at the
+    call site (macros capture their caller's bindings).
 
 The linter is purely syntactic/structural: it runs without a litmus
 test, so models can be checked as they are written.
@@ -34,7 +39,7 @@ test, so models can be checked as they are written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.uspec import ast
 
@@ -111,10 +116,26 @@ class _Linter:
 
     def lint(self) -> LintReport:
         for axiom in self.model.axioms:
-            self._walk(axiom.body, axiom.name, negated=False, stack=())
+            self._walk(
+                axiom.body, axiom.name, negated=False, stack=(), scope=frozenset()
+            )
         return LintReport(self.findings)
 
-    def _check_node(self, node: ast.NodeRef, axiom: str) -> None:
+    def _check_bound(
+        self, variables: Sequence[ast.Var], axiom: str, scope: FrozenSet[str]
+    ) -> None:
+        for var in variables:
+            if var.name not in scope:
+                self.add(
+                    ERROR, "unbound-variable", axiom,
+                    f"variable {var.name!r} is not bound by a quantifier, "
+                    "a macro parameter or the macro's call site",
+                )
+
+    def _check_node(
+        self, node: ast.NodeRef, axiom: str, scope: FrozenSet[str]
+    ) -> None:
+        self._check_bound((node.microop,), axiom, scope)
         if node.stage not in self.stages:
             self.add(
                 ERROR, "unknown-stage", axiom,
@@ -127,35 +148,38 @@ class _Linter:
         axiom: str,
         negated: bool,
         stack: Tuple[str, ...],
+        scope: FrozenSet[str],
     ) -> None:
         if isinstance(formula, ast.Truth):
             return
         if isinstance(formula, ast.Not):
-            self._walk(formula.body, axiom, not negated, stack)
+            self._walk(formula.body, axiom, not negated, stack, scope)
             return
         if isinstance(formula, (ast.And, ast.Or)):
             for op in formula.operands:
-                self._walk(op, axiom, negated, stack)
+                self._walk(op, axiom, negated, stack, scope)
             return
         if isinstance(formula, ast.Implies):
-            self._walk(formula.premise, axiom, not negated, stack)
-            self._walk(formula.conclusion, axiom, negated, stack)
+            self._walk(formula.premise, axiom, not negated, stack, scope)
+            self._walk(formula.conclusion, axiom, negated, stack, scope)
             return
         if isinstance(formula, ast.Quantifier):
-            self._walk(formula.body, axiom, negated, stack)
+            self._walk(
+                formula.body, axiom, negated, stack, scope | set(formula.names)
+            )
             return
         if isinstance(formula, (ast.AddEdge, ast.EdgeExists)):
             edge = formula.edge
-            self._check_node(edge.src, axiom)
-            self._check_node(edge.dst, axiom)
+            self._check_node(edge.src, axiom, scope)
+            self._check_node(edge.dst, axiom, scope)
             return  # negated edges are rewritable: fine either way
         if isinstance(formula, (ast.AddEdges, ast.EdgesExist)):
             for edge in formula.edges:
-                self._check_node(edge.src, axiom)
-                self._check_node(edge.dst, axiom)
+                self._check_node(edge.src, axiom, scope)
+                self._check_node(edge.dst, axiom, scope)
             return
         if isinstance(formula, ast.NodeExists):
-            self._check_node(formula.node, axiom)
+            self._check_node(formula.node, axiom, scope)
             if negated:
                 self.add(
                     ERROR, "negated-non-edge", axiom,
@@ -163,10 +187,12 @@ class _Linter:
                 )
             return
         if isinstance(formula, ast.Predicate):
+            self._check_bound(formula.args, axiom, scope)
             self._lint_predicate(formula, axiom, negated)
             return
         if isinstance(formula, ast.ExpandMacro):
-            self._lint_macro(formula, axiom, negated, stack)
+            self._check_bound(formula.args, axiom, scope)
+            self._lint_macro(formula, axiom, negated, stack, scope)
             return
         self.add(ERROR, "unknown-construct", axiom, f"cannot lint {formula!r}")
 
@@ -209,6 +235,7 @@ class _Linter:
         axiom: str,
         negated: bool,
         stack: Tuple[str, ...],
+        scope: FrozenSet[str],
     ) -> None:
         macro = self.macros.get(call.name)
         if macro is None:
@@ -230,7 +257,10 @@ class _Linter:
                 f"{' -> '.join(stack + (call.name,))})",
             )
             return
-        self._walk(macro.body, axiom, negated, stack + (call.name,))
+        self._walk(
+            macro.body, axiom, negated, stack + (call.name,),
+            scope | set(macro.params),
+        )
 
 
 def lint_model(model: ast.Model) -> LintReport:

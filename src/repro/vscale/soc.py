@@ -86,6 +86,8 @@ class VScaleSoC(Design):
             )
         self.arbiter = Arbiter(NUM_CORES)
         self.data_words = sorted(compiled.initial_data_memory)
+        #: ``(word, frame key)`` per data word, keys shared by every frame.
+        self._mem_keys = tuple((word, f"mem[{word}]") for word in self.data_words)
         self._pending_tick = None
 
     def reset(self) -> None:
@@ -231,8 +233,6 @@ class MultiVScale(VScaleSoC):
             self.memory = FixedMemory(compiled.initial_data_memory)
         else:
             raise RtlError(f"unknown memory variant {memory_variant!r}")
-        #: ``(word, frame key)`` per data word, keys shared by every frame.
-        self._mem_keys = tuple((word, f"mem[{word}]") for word in self.data_words)
         self.reset()
         self.enable_array_state()
 

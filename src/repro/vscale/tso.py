@@ -74,6 +74,33 @@ _TXN_SLOTS = 5
 #: Slots per store-buffer entry: addr, data, pc.
 _ENTRY_SLOTS = 3
 
+#: Per-core frame signal names in :meth:`MultiVScaleTSO.eval_comb`'s
+#: insertion order.
+_TSO_CORE_SIGNALS = (
+    "PC_IF",
+    "PC_DX",
+    "PC_WB",
+    "stall_IF",
+    "stall_DX",
+    "stall_WB",
+    "dmem_type_DX",
+    "dmem_type_WB",
+    "load_data_WB",
+    "fwd_valid",
+    "store_data_WB",
+    "halted",
+    "sb_count",
+    "commit_valid",
+    "commit_pc",
+)
+
+#: ``_TSO_CORE_KEYS[core_id]``: that core's frame keys, built once so
+#: every frame shares the same key objects (as Multi-V-scale's do).
+_TSO_CORE_KEYS = tuple(
+    tuple(f"core[{core_id}].{name}" for name in _TSO_CORE_SIGNALS)
+    for core_id in range(NUM_CORES)
+)
+
 
 class MultiVScaleTSO(VScaleSoC):
     """The four-core V-scale SoC with per-core store buffers (x86-TSO).
@@ -181,36 +208,40 @@ class MultiVScaleTSO(VScaleSoC):
         frame: Frame = {}
         for core_id, core in enumerate(self.cores):
             view = views[core_id]
-            prefix = f"core[{core_id}]."
-            frame[prefix + "PC_IF"] = core.pc_if
-            frame[prefix + "PC_DX"] = view.pc if view.valid else 0
-            frame[prefix + "PC_WB"] = core.wb_pc if core.wb_valid else 0
-            frame[prefix + "stall_IF"] = int(stall_dx[core_id] or core.fetch_stop)
-            frame[prefix + "stall_DX"] = int(stall_dx[core_id])
-            frame[prefix + "stall_WB"] = 0
-            frame[prefix + "dmem_type_DX"] = view.wb_type if view.valid else 0
-            frame[prefix + "dmem_type_WB"] = core.wb_type
+            (
+                k_pc_if, k_pc_dx, k_pc_wb, k_stall_if, k_stall_dx, k_stall_wb,
+                k_type_dx, k_type_wb, k_load_data, k_fwd_valid, k_store_data,
+                k_halted, k_sb_count, k_commit_valid, k_commit_pc,
+            ) = _TSO_CORE_KEYS[core_id]
+            frame[k_pc_if] = core.pc_if
+            frame[k_pc_dx] = view.pc if view.valid else 0
+            frame[k_pc_wb] = core.wb_pc if core.wb_valid else 0
+            frame[k_stall_if] = int(stall_dx[core_id] or core.fetch_stop)
+            frame[k_stall_dx] = int(stall_dx[core_id])
+            frame[k_stall_wb] = 0
+            frame[k_type_dx] = view.wb_type if view.valid else 0
+            frame[k_type_wb] = core.wb_type
             is_load_data_phase = (
                 self.pending is not None
                 and self.pending[0] == "L"
                 and self.pending[1] == core_id
                 and core.wb_type == DMEM_LOAD
             )
-            frame[prefix + "load_data_WB"] = load_out if is_load_data_phase else 0
-            frame[prefix + "fwd_valid"] = fwd_valid if is_load_data_phase else 0
-            frame[prefix + "store_data_WB"] = core.wb_store_data
-            frame[prefix + "halted"] = int(core.halted)
-            frame[prefix + "sb_count"] = len(self.buffers[core_id])
+            frame[k_load_data] = load_out if is_load_data_phase else 0
+            frame[k_fwd_valid] = fwd_valid if is_load_data_phase else 0
+            frame[k_store_data] = core.wb_store_data
+            frame[k_halted] = int(core.halted)
+            frame[k_sb_count] = len(self.buffers[core_id])
             if commit is not None and commit[0] == core_id:
-                frame[prefix + "commit_valid"] = 1
-                frame[prefix + "commit_pc"] = commit[3]
+                frame[k_commit_valid] = 1
+                frame[k_commit_pc] = commit[3]
             else:
-                frame[prefix + "commit_valid"] = 0
-                frame[prefix + "commit_pc"] = 0
+                frame[k_commit_valid] = 0
+                frame[k_commit_pc] = 0
         frame["arbiter.cur_core"] = self.arbiter.cur_core
         frame["arbiter.prev_core"] = self.arbiter.prev_core
-        for word in self.data_words:
-            frame[f"mem[{word}]"] = self.read_word(word)
+        for word, key in self._mem_keys:
+            frame[key] = self.read_word(word)
 
         self._pending_tick = (select, views, stall_dx, new_txn, load_out, commit)
         return frame

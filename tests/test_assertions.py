@@ -143,3 +143,46 @@ class TestLoadConstraintScoping:
             assert not (
                 "load_data_WB == 32'd0" in side and "load_data_WB == 32'd1" in side
             )
+
+
+class TestGenerateOnce:
+    def test_node_mapping_runs_once_per_node_and_value(self):
+        """The generator memoizes the node mapping, so every property
+        mentioning an event shares one expression for it."""
+        compiled = compile_test(get_test("mp"))
+        calls = []
+
+        class Counting(MultiVScaleNodeMapping):
+            def map_node(self, node, load_constraint=None):
+                calls.append((node, load_constraint))
+                return super().map_node(node, load_constraint)
+
+        generator = AssertionGenerator(
+            model=multi_vscale_model(),
+            compiled=compiled,
+            node_mapping=Counting(compiled),
+        )
+        directives = generator.generate()
+        assert directives
+        assert len(calls) == len(set(calls))
+        reference = AssertionGenerator(
+            model=multi_vscale_model(),
+            compiled=compiled,
+            node_mapping=MultiVScaleNodeMapping(compiled),
+        ).generate()
+        assert [d.emit() for d in directives] == [d.emit() for d in reference]
+
+    def test_generator_memo_stays_out_of_eq_and_repr(self):
+        compiled = compile_test(get_test("mp"))
+
+        def fresh():
+            return AssertionGenerator(
+                model=multi_vscale_model(),
+                compiled=compiled,
+                node_mapping=MultiVScaleNodeMapping(compiled),
+            )
+
+        used = fresh()
+        used.generate()
+        assert used == fresh()
+        assert repr(used) == repr(fresh())

@@ -1,5 +1,8 @@
 """Tests for the SVA AST: emission and single-cycle evaluation."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import SvaError
@@ -15,6 +18,7 @@ from repro.sva import (
     SRepeat,
     Sig,
     SigEq,
+    SvaText,
     band,
     bor,
     pand,
@@ -140,3 +144,45 @@ class TestDirectives:
     def test_bad_kind_rejected(self):
         with pytest.raises(SvaError):
             Directive(kind="check", name="x", prop=PConst(True))
+
+
+class TestRenderedOnce:
+    """A renderer renders each node object once, and keeps its texts
+    itself: nothing lands on the nodes, their pickles or copies."""
+
+    @staticmethod
+    def _directive():
+        expr = band(SigEq("core[0].PC_WB", 8), BNot(Sig("core[0].stall_WB")))
+        prop = PImpl(Sig("first"), PSeq(scat(SRepeat(BNot(expr), 0, None), SBool(expr))))
+        return Directive(kind="assert", name="t_0", prop=prop)
+
+    def test_renderer_renders_each_node_once(self):
+        d = self._directive()
+        calls = []
+
+        class Counting(SvaText):
+            def __call__(self, node):
+                calls.append(node)
+                return super().__call__(node)
+
+        text = Counting()
+        rendered = text(d)
+        assert rendered == d.emit()
+        assert text(d) is rendered
+        assert text(d.prop) in rendered
+        shared = d.prop.consequent.seq.right.expr
+        # Read twice (the delay's operand and the SBool), rendered once.
+        assert sum(1 for node in calls if node is shared) == 2
+        assert len(text._texts) == len({id(node) for node in calls})
+
+    def test_rendering_leaves_nodes_pickles_and_copies_unchanged(self):
+        fresh = self._directive()
+        rendered = self._directive()
+        SvaText()(rendered)
+        rendered.emit()
+        assert rendered.__dict__ == fresh.__dict__
+        assert pickle.dumps(rendered, protocol=4) == pickle.dumps(fresh, protocol=4)
+        assert copy.copy(rendered).__dict__ == fresh.__dict__
+        assert rendered == fresh
+        assert hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)

@@ -220,6 +220,20 @@ class TestTsoSlotState:
         self._run(reference, prefix)
         assert self._run(soc, suffix) == self._run(reference, suffix)
 
+    @pytest.mark.parametrize("drain", ["fifo", "lifo"])
+    def test_consecutive_frames_share_key_objects(self, drain):
+        """Every frame key, core signals and memory words alike, is one
+        shared string object: a reach graph holds a frame per edge."""
+        soc = MultiVScaleTSO(compile_test(get_test("mp")), drain)
+        first = soc.eval_comb({"arb_select": 0})
+        soc.tick()
+        second = soc.eval_comb({"arb_select": 1})
+        soc.tick()
+        assert len(first) == 64
+        assert any(key.startswith("mem[") for key in first)
+        assert list(second) == list(first)
+        assert all(a is b for a, b in zip(second, first))
+
     def test_buffers_fill_to_capacity_within_the_layout(self):
         """Three back-to-back stores with core 0 never granted hold two
         buffered entries, and the state still round-trips."""

@@ -10,12 +10,13 @@ from repro.uspec import (
     LoadValue,
     evaluate_axiom,
     evaluate_formula,
+    lint_model,
     micros_from_compiled,
     multi_vscale_model,
     parse_formula,
     parse_uspec,
 )
-from repro.uspec.ast import And, Not, Or, Truth
+from repro.uspec.ast import And, Not, Or, Truth, sort_key
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,134 @@ class TestMacros:
         m = parse_uspec(source)
         with pytest.raises(UspecError):
             evaluate_axiom(m, m.axiom("A"), context_for("mp"))
+
+
+class TestImplicationShortCircuit:
+    """A false premise makes an implication True without grounding its
+    conclusion, just as a false conjunct ends a ``/\\``: the premise
+    guards a conclusion that is undefined for that binding."""
+
+    @staticmethod
+    def _partly_pinned():
+        # r2 (the load of y) has no value in the outcome.
+        test = LitmusTest.of(
+            "partly-pinned",
+            [[store("x", 1)], [load("x", "r1"), load("y", "r2"), load("x", "r3")]],
+            Outcome.of({"r1": 1, "r3": 1}),
+        )
+        return compile_test(test)
+
+    def test_false_premise_guards_load_load_same_data_in_check_mode(self, model):
+        ctx = EvalContext.for_compiled(self._partly_pinned(), mode="check")
+        guarded = parse_formula(
+            'forall microops "a", "b", '
+            "(IsAnyRead a /\\ IsAnyRead b /\\ ~SameMicroop a b /\\ SameAddress a b)"
+            " => SameData a b"
+        )
+        # Only the two loads of x pair up; the unpinned load of y is
+        # reached only under false premises.
+        assert evaluate_formula(model, guarded, ctx) == Truth(True)
+        unguarded = parse_formula(
+            'forall microops "a", "b", (IsAnyRead a /\\ IsAnyRead b) => SameData a b'
+        )
+        with pytest.raises(UspecError):
+            evaluate_formula(model, unguarded, ctx)
+
+    def test_false_premise_guards_load_load_same_data_in_rtl_mode(self, model):
+        ctx = context_for("mp", mode="rtl")
+        f = parse_formula('forall microops "a", "b", IsAnyWrite a => SameData a b')
+        ground = evaluate_formula(model, f, ctx)
+        assert {a.uid for a in _collect(ground, LoadValue)} == {3, 4}
+
+    def test_true_premise_still_grounds_the_conclusion(self, model):
+        ctx = context_for("mp", mode="rtl")
+        f = parse_formula('forall microops "a", "b", IsAnyRead a => SameData a b')
+        with pytest.raises(UspecError):
+            evaluate_formula(model, f, ctx)
+
+    def test_symbolic_premise_keeps_the_clause(self, model):
+        ctx = context_for("mp", mode="rtl")
+        f = parse_formula(
+            'forall microop "i", DataFromInitialStateAtPA i => '
+            "AddEdge ((i, Fetch), (i, Writeback))"
+        )
+        ground = evaluate_formula(model, f, ctx)
+        # Stores of 1 over initial 0 drop out; each load keeps
+        # ~LoadValue(i, 0) \/ edge.
+        clauses = ground.operands
+        assert len(clauses) == 2
+        assert all(isinstance(clause, Or) for clause in clauses)
+
+    @pytest.mark.parametrize(
+        "conclusion,rule",
+        [
+            ("NodeExists (i, Retire)", "unknown-stage"),
+            ("ExpandMacro Missing", "undefined-macro"),
+            ("AddEdge ((i, Fetch), (q, Fetch))", "unbound-variable"),
+        ],
+    )
+    def test_lint_reports_problems_behind_an_always_false_premise(
+        self, conclusion, rule
+    ):
+        source = (
+            'Stages "Fetch".\n'
+            'Axiom "A": forall microop "i", '
+            f"(IsAnyRead i /\\ IsAnyWrite i) => {conclusion}."
+        )
+        m = parse_uspec(source)
+        # No microop is both a read and a write: grounding never reaches
+        # the conclusion, so only the linter can report it.
+        ground = evaluate_axiom(m, m.axiom("A"), context_for("mp"))
+        assert ground == Truth(True)
+        report = lint_model(m)
+        assert [f.rule for f in report.errors] == [rule]
+
+
+class TestSortKey:
+    """Ground operands are ordered by ``repr``; :func:`sort_key` must be
+    that ``repr`` exactly, computed once per formula object."""
+
+    @pytest.mark.parametrize("name", ["mp", "iriw", "amd3", "rfi006"])
+    @pytest.mark.parametrize("mode", ["check", "rtl"])
+    def test_sort_key_equals_repr_on_every_subformula(self, model, name, mode):
+        ctx = context_for(name, mode=mode)
+        seen = 0
+
+        def walk(f):
+            nonlocal seen
+            assert sort_key(f) == repr(f)
+            seen += 1
+            if isinstance(f, (And, Or)):
+                for op in f.operands:
+                    walk(op)
+            elif isinstance(f, Not):
+                walk(f.body)
+
+        for axiom in model.axioms:
+            walk(evaluate_axiom(model, axiom, ctx))
+        assert seen > 20
+
+    def test_single_operand_and_nested_keys(self):
+        edge = GroundEdge("add", (1, "Fetch"), (2, "Fetch"))
+        for formula in (
+            And((edge,)),
+            Or((Not(edge), LoadValue(3, 0))),
+            Not(And((Truth(True), Or((edge,))))),
+        ):
+            assert sort_key(formula) == repr(formula)
+
+    def test_sort_key_stays_out_of_pickles_eq_and_hash(self):
+        import pickle
+
+        def build():
+            return Or((Not(GroundEdge("add", (1, "Fetch"), (2, "Fetch"))), LoadValue(3, 1)))
+
+        keyed, fresh = build(), build()
+        sort_key(keyed)
+        assert "_sort_key" in keyed.__dict__
+        assert keyed == fresh and hash(keyed) == hash(fresh)
+        assert pickle.dumps(keyed) == pickle.dumps(fresh)
+        assert "_sort_key" not in pickle.loads(pickle.dumps(keyed)).__dict__
 
 
 class TestGroundShapes:

@@ -3,8 +3,8 @@
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
 property walks, random-schedule simulation, difftest oracle
-throughput, paper-suite construction, the trace oracle's harvest, and
-the RTL oracle's outcome enumeration — and writes
+throughput, paper-suite construction, SVA generation, the trace
+oracle's harvest, and the RTL oracle's outcome enumeration — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -249,6 +249,18 @@ def _bench_suite_build() -> None:
     SuiteBuilder().build()
 
 
+def _bench_generation() -> None:
+    """The Assumption and Assertion Generators over the 56-test paper
+    suite on a fresh ``RTLCheck``: µspec grounding, node mapping and
+    SVA emission, no verification.  The suite is built once, by the
+    warm-up run."""
+    from repro import RTLCheck, paper_suite
+
+    rtlcheck = RTLCheck()
+    for test in paper_suite():
+        rtlcheck.generate(test)
+
+
 @functools.lru_cache(maxsize=None)
 def _trace_harvest_tests():
     from repro.difftest.generate import FuzzGenerator
@@ -295,6 +307,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "coverage_overhead": _bench_coverage,
     "property_walk": _bench_property_walk,
     "suite_build": _bench_suite_build,
+    "generation": _bench_generation,
     "trace_harvest": _bench_trace_harvest,
     "rtl_enumeration": _bench_rtl_enumeration,
 }
