@@ -70,6 +70,19 @@ Assertion Generator uses and the ``"check"`` mode of
 :mod:`repro.uhb.verify`, in a few seconds:
 
     PYTHONPATH=src python tools/regen_golden_verdicts.py --sva-only
+
+``--polycheck-only`` runs no verifier: it rewrites the trace-checker pin
+(``tests/fixtures/polycheck_verdicts.json``).  For every program of the
+harvest pin it checks, under both ``"sc"`` and ``"tso"``, the traces of
+the fixed-memory and buggy-memory harvests plus a seeded batch of
+perturbed fixed-memory traces (load values and final memory changed),
+and records per batch a digest of every
+:class:`~repro.memodel.polycheck.TraceVerdict` field of every trace, in
+harvest order, with counts beside it.  The TSO search runs under a
+:data:`POLYCHECK_TSO_STATES` budget, so long programs pin the budget
+path too.  About ten seconds:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --polycheck-only
 """
 
 from __future__ import annotations
@@ -94,6 +107,7 @@ HARVEST_FIXTURE = os.path.join(FIXTURE_DIR, "trace_harvest.json")
 RTL_FIXTURE = os.path.join(FIXTURE_DIR, "rtl_enumeration.json")
 TSO_FIXTURE = os.path.join(FIXTURE_DIR, "tso_verdicts.json")
 SVA_FIXTURE = os.path.join(FIXTURE_DIR, "sva_generation.json")
+POLYCHECK_FIXTURE = os.path.join(FIXTURE_DIR, "polycheck_verdicts.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
 SUITE_KIND = "rtlcheck-paper-suite"
@@ -101,6 +115,7 @@ HARVEST_KIND = "rtlcheck-trace-harvest"
 RTL_KIND = "rtlcheck-rtl-enumeration"
 TSO_KIND = "rtlcheck-tso-verdicts"
 SVA_KIND = "rtlcheck-sva-generation"
+POLYCHECK_KIND = "rtlcheck-polycheck-verdicts"
 
 #: ``RTLCheck.for_tso()`` memory variant per store-buffer drain order.
 TSO_DRAINS = {"fifo": "fixed", "lifo": "buggy"}
@@ -394,6 +409,118 @@ def sva_row(source: str, model: str, test) -> dict:
     }
 
 
+#: The polycheck pin's TSO witness-search budget: the store-buffer
+#: search on a long four-thread program can visit tens of thousands of
+#: states, so the pin bounds it and records the budget refusals.
+POLYCHECK_TSO_STATES = 2_000
+
+#: Perturbed traces the polycheck pin derives from each program's
+#: fixed-memory harvest.
+POLYCHECK_PERTURBED = 13
+
+
+def perturbed_traces(test, traces) -> list:
+    """``POLYCHECK_PERTURBED`` seeded mutants of ``traces``: each
+    changes one or two load values or final memory cells to another
+    value a store writes there, the initial value, or (rarely) a value
+    nothing writes."""
+    import random
+
+    from repro.memodel.polycheck import Trace
+
+    if not traces:
+        return []
+    rng = random.Random(f"polycheck-perturb:{test.name}")
+    addr_of = {op.out: op.addr for t in test.threads for op in t if op.is_load}
+    mutants = []
+    for _ in range(POLYCHECK_PERTURBED):
+        trace = rng.choice(traces)
+        regs, memory = dict(trace.load_values), dict(trace.final_memory)
+        initial = dict(trace.initial_memory)
+        cells = [("r", reg) for reg in sorted(regs)]
+        cells += [("m", addr) for addr in sorted(memory)]
+        for kind, key in rng.sample(cells, min(len(cells), rng.randint(1, 2))):
+            addr = addr_of[key] if kind == "r" else key
+            target = regs if kind == "r" else memory
+            pool = {initial.get(addr, 0)}
+            pool |= {
+                op.value
+                for t in test.threads
+                for op in t
+                if op.is_store and op.addr == addr
+            }
+            pool.add(max(pool) + 1 if rng.random() < 0.1 else target[key])
+            choices = sorted(pool - {target[key]})
+            if choices:
+                target[key] = rng.choice(choices)
+        mutants.append(Trace.of(trace.threads, regs, memory, initial))
+    return mutants
+
+
+def polycheck_batch(traces, model: str, max_states: int) -> dict:
+    """Every :class:`~repro.memodel.polycheck.TraceVerdict` field of
+    ``check_trace(trace, model)`` over ``traces``: a digest of the full
+    list (a refused search pins its error message), with counts."""
+    from repro.errors import ReproError
+    from repro.memodel.polycheck import check_trace
+
+    views = []
+    summary = {
+        "conformant": 0,
+        "closure_rejected": 0,
+        "search_states": 0,
+        "errors": 0,
+    }
+    for trace in traces:
+        try:
+            verdict = check_trace(trace, model, max_states=max_states)
+        except ReproError as exc:
+            views.append(f"error: {exc}")
+            summary["errors"] += 1
+            continue
+        views.append(
+            [
+                verdict.conformant,
+                verdict.reason,
+                verdict.events,
+                verdict.closure_rejected,
+                verdict.search_states,
+            ]
+        )
+        summary["conformant"] += verdict.conformant
+        summary["closure_rejected"] += verdict.closure_rejected
+        summary["search_states"] += verdict.search_states
+    summary["verdicts"] = text_digest(json.dumps(views))
+    return summary
+
+
+def polycheck_rows(source: str, test) -> list:
+    """The polycheck pin's rows for one harvest-pin program: its
+    ``fixed`` and ``buggy`` harvests and the ``perturbed`` batch."""
+    from repro.cache.keys import litmus_digest
+    from repro.memodel.polycheck import DEFAULT_POLYCHECK_STATES
+    from repro.vscale.trace import harvest_traces
+
+    fixed = harvest_traces(test, "fixed").traces
+    batches = {
+        "fixed": fixed,
+        "buggy": harvest_traces(test, "buggy").traces,
+        "perturbed": perturbed_traces(test, fixed),
+    }
+    return [
+        {
+            "test": test.name,
+            "source": source,
+            "batch": batch,
+            "litmus_digest": litmus_digest(test),
+            "traces": len(traces),
+            "sc": polycheck_batch(traces, "sc", DEFAULT_POLYCHECK_STATES),
+            "tso": polycheck_batch(traces, "tso", POLYCHECK_TSO_STATES),
+        }
+        for batch, traces in batches.items()
+    ]
+
+
 def write_document(document: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
@@ -430,8 +557,34 @@ def main(argv=None) -> int:
         action="store_true",
         help="write only the SVA generation pin (no verifier runs)",
     )
+    parser.add_argument(
+        "--polycheck-only",
+        action="store_true",
+        help="write only the trace-checker pin (no verifier runs)",
+    )
     parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.polycheck_only:
+        output = args.output or POLYCHECK_FIXTURE
+        rows = [
+            row
+            for source, test in harvest_tests()
+            for row in polycheck_rows(source, test)
+        ]
+        write_document(
+            {
+                "schema_version": 1,
+                "kind": POLYCHECK_KIND,
+                "fuzz": HARVEST_FUZZ,
+                "perturbed": POLYCHECK_PERTURBED,
+                "tso_max_states": POLYCHECK_TSO_STATES,
+                "tests": rows,
+            },
+            output,
+        )
+        print(f"wrote {len(rows)} polycheck rows to {output}")
+        return 0
 
     if args.sva_only:
         output = args.output or SVA_FIXTURE
