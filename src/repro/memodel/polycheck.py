@@ -17,22 +17,29 @@ The checker is layered, cheapest first:
    the initial value when the location is never stored).  O(n) per
    address; this alone rejects the classic V-scale store-dropping bug
    (a lone ``[W x 1]`` ending with ``x = 0`` has no store writing 0).
-2. **Vector-clock closure** (SC only) — the Roy-et-al. frontier
+2. **Happens-before closure** (SC only) — the Roy-et-al. frontier
    construction: fixed reads-from edges (loads whose observed value
    identifies a unique writer) and unique final writers induce
    coherence orderings (for a load ``l`` reading store ``s``: any
    same-address store ordered before ``l`` must be before ``s``, and
-   any ordered after ``s`` must be after ``l``); edges propagate
-   through O(n·p) vector clocks until fixpoint, and any cycle is a
-   sound rejection.
+   any ordered after ``s`` must be after ``l``) until fixpoint, and any
+   cycle is a sound rejection.  The relation stays transitively closed
+   on bit sets, one Python int per event: a down-set (every event
+   ordered before-or-at it) and an up-set.  ``a -> b`` is one bit test;
+   adding it ORs ``a``'s down-set into each event of ``b``'s up-set and
+   back.  The rules mask those sets to find their candidate stores.
 3. **Witness search** — an exact memoized frontier search over
-   ``(pcs, memory)`` (SC) or ``(pcs, store buffers, memory)`` (TSO)
-   states, pruned by the observed load values and, under SC, by the
-   closure's must-happen-before clocks.  Deciding per-execution SC
-   with ambiguous reads-from is NP-complete in general, so the search
-   carries a state budget (:data:`DEFAULT_POLYCHECK_STATES`) and
-   raises :class:`~repro.errors.ReproError` when it trips — fuzz
-   campaigns record the refusal instead of mislabeling the trace.
+   ``(done events, memory)`` (SC) or ``(pcs, store buffers, memory)``
+   (TSO) states, pruned by the observed load values and, under SC, by
+   the closure: an event is enabled once its down-set, less itself, is
+   done.  Deciding per-execution SC with ambiguous reads-from is
+   NP-complete in general, so the search carries a state budget
+   (:data:`DEFAULT_POLYCHECK_STATES`) and raises
+   :class:`~repro.errors.ReproError` when it trips — fuzz campaigns
+   record the refusal instead of mislabeling the trace.
+
+What depends only on the program (events, store masks, program-order
+bit sets, the operation table) is built once per program, not per trace.
 
 On the fuzzer's long-program mode, store values are unique per
 location, so every read and the final writer are unambiguous: the
@@ -42,7 +49,8 @@ walking one witness — the polynomial case Roy et al. identify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -113,8 +121,8 @@ class TraceVerdict:
     model: str
     reason: str = ""
     events: int = 0
-    #: True when the vector-clock closure alone refuted the trace
-    #: (no search was needed).
+    #: True when no witness search completed: the trace was refuted by
+    #: value feasibility, the closure, or a search that found nothing.
     closure_rejected: bool = False
     #: States the witness search visited (0 on closure rejections).
     search_states: int = 0
@@ -124,269 +132,274 @@ class _Rejected(Exception):
     """Internal: the trace is refuted; ``args[0]`` is the reason."""
 
 
-@dataclass
-class _Event:
-    eid: int
-    thread: int
-    pos: int  # index within the thread (po position)
-    op: MemOp
-    value: Optional[int] = None  # observed (loads) / written (stores)
-    #: Fixed reads-from writer: a store eid, _INIT, or None (ambiguous).
-    rf: Optional[int] = None
-    candidates: Tuple[int, ...] = ()
+class _Program:
+    """Everything :func:`check_trace` needs of a program that does not
+    depend on the observed values, built once per program.  Events are
+    numbered thread by thread in program order, so each thread's events
+    are a contiguous run of bits."""
 
-
-@dataclass
-class _Analysis:
-    events: List[_Event] = field(default_factory=list)
-    by_thread: List[List[_Event]] = field(default_factory=list)
-    stores_to: Dict[str, List[_Event]] = field(default_factory=dict)
-    loads: List[_Event] = field(default_factory=list)
-    initial: Dict[str, int] = field(default_factory=dict)
-    final: Dict[str, int] = field(default_factory=dict)
-    #: clocks[eid][thread] = number of that thread's events that must
-    #: happen before-or-at this event in every witness.
-    clocks: List[List[int]] = field(default_factory=list)
-    #: extra (non-po) must-happen-before edges, as adjacency sets.
-    succ: Dict[int, set] = field(default_factory=dict)
-
-
-def _build_analysis(trace: Trace) -> _Analysis:
-    ana = _Analysis()
-    load_values = dict(trace.load_values)
-    ana.final = dict(trace.final_memory)
-    addresses: List[str] = []
-    for thread in trace.threads:
-        for op in thread:
-            if op.addr is not None and op.addr not in addresses:
-                addresses.append(op.addr)
-    ana.initial = {addr: 0 for addr in addresses}
-    ana.initial.update(dict(trace.initial_memory))
-
-    for tid, thread in enumerate(trace.threads):
-        row: List[_Event] = []
-        for pos, op in enumerate(thread):
-            event = _Event(eid=len(ana.events), thread=tid, pos=pos, op=op)
+    def __init__(self, threads, initial_memory):
+        self.ops = [op for thread in threads for op in thread]
+        self.thread_of: List[int] = []
+        self.by_thread: List[range] = []
+        self.thread_masks: List[int] = []
+        #: Program order as reflexive down-sets and up-sets.
+        self.po_down: List[int] = []
+        self.po_up: List[int] = []
+        for tid, thread in enumerate(threads):
+            first, last = len(self.thread_of), len(self.thread_of) + len(thread)
+            self.thread_of += [tid] * len(thread)
+            self.by_thread.append(range(first, last))
+            self.thread_masks.append((1 << last) - (1 << first))
+            for e in range(first, last):
+                self.po_down.append((1 << (e + 1)) - (1 << first))
+                self.po_up.append((1 << last) - (1 << e))
+        self.loads = [e for e, op in enumerate(self.ops) if op.is_load]
+        #: Shared locations in first-seen order, and the initial memory;
+        #: ``addrs`` (sorted) is the searches' memory-tuple order.
+        self.addresses: List[str] = []
+        for op in self.ops:
+            if op.addr is not None and op.addr not in self.addresses:
+                self.addresses.append(op.addr)
+        self.initial = {addr: 0 for addr in self.addresses}
+        self.initial.update(dict(initial_memory))
+        self.addrs = sorted(self.initial)
+        index = {addr: i for i, addr in enumerate(self.addrs)}
+        #: Per event: ``(kind, index into addrs, store value)``.
+        self.table = [(op.kind, index.get(op.addr), op.value) for op in self.ops]
+        #: Per stored location: the mask of its stores, and
+        #: ``writers[addr][value]``, the stores writing ``value``.
+        self.store_masks: Dict[str, int] = {}
+        self.writers: Dict[str, Dict[int, Tuple[int, ...]]] = {}
+        for eid, op in enumerate(self.ops):
             if op.is_store:
-                event.value = op.value
-                ana.stores_to.setdefault(op.addr, []).append(event)
-            elif op.is_load:
-                if op.out not in load_values:
-                    raise ReproError(
-                        f"trace is incomplete: no observed value for "
-                        f"load register {op.out!r}"
-                    )
-                event.value = load_values[op.out]
-                ana.loads.append(event)
-            ana.events.append(event)
-            row.append(event)
-        ana.by_thread.append(row)
+                mask = self.store_masks.get(op.addr, 0)
+                self.store_masks[op.addr] = mask | 1 << eid
+                by_value = self.writers.setdefault(op.addr, {})
+                by_value[op.value] = by_value.get(op.value, ()) + (eid,)
 
-    for addr in addresses:
-        if addr not in ana.final:
+
+_program = functools.lru_cache(maxsize=16)(_Program)
+
+
+def _analyse(trace: Trace) -> Tuple[_Program, List[Optional[int]], Dict[str, int]]:
+    """The trace's program, its observed value per load event, and its
+    final memory; raises :class:`ReproError` when the trace is
+    incomplete."""
+    program = _program(trace.threads, trace.initial_memory)
+    load_values = dict(trace.load_values)
+    observed: List[Optional[int]] = [None] * len(program.ops)
+    for eid in program.loads:
+        out = program.ops[eid].out
+        if out not in load_values:
+            raise ReproError(
+                f"trace is incomplete: no observed value for "
+                f"load register {out!r}"
+            )
+        observed[eid] = load_values[out]
+    final = dict(trace.final_memory)
+    for addr in program.addresses:
+        if addr not in final:
             raise ReproError(
                 f"trace is incomplete: no final value for location {addr!r}"
             )
-    return ana
+    return program, observed, final
 
 
-def _value_feasibility(ana: _Analysis) -> None:
-    """Layer 1: observed values must be producible at all (model-free)."""
-    for event in ana.loads:
-        addr, value = event.op.addr, event.value
-        candidates = [
-            s.eid for s in ana.stores_to.get(addr, []) if s.value == value
-        ]
-        if value == ana.initial[addr]:
-            candidates.append(_INIT)
-        if not candidates:
+def _value_feasibility(
+    program: _Program, observed: List[Optional[int]], final: Dict[str, int]
+) -> List[Optional[int]]:
+    """Layer 1: observed values must be producible at all (model-free).
+    Returns each load's fixed reads-from writer: a store eid,
+    :data:`_INIT`, or ``None`` (ambiguous)."""
+    rf: List[Optional[int]] = [None] * len(program.ops)
+    for eid in program.loads:
+        addr, value = program.ops[eid].addr, observed[eid]
+        stores = program.writers.get(addr, {}).get(value, ())
+        reads_initial = value == program.initial[addr]
+        if not stores and not reads_initial:
             raise _Rejected(
-                f"load {event.op.out} observed [{addr}] = {value}, "
+                f"load {program.ops[eid].out} observed [{addr}] = {value}, "
                 f"which no store writes and is not the initial value"
             )
-        event.candidates = tuple(candidates)
-        if len(candidates) == 1:
-            event.rf = candidates[0]
-    for addr, final_value in ana.final.items():
-        stores = ana.stores_to.get(addr, [])
-        if stores:
-            if not any(s.value == final_value for s in stores):
+        if len(stores) + reads_initial == 1:
+            rf[eid] = stores[0] if stores else _INIT
+    for addr, final_value in final.items():
+        by_value = program.writers.get(addr)
+        if by_value:
+            if final_value not in by_value:
                 raise _Rejected(
                     f"final [{addr}] = {final_value} matches no store to "
                     f"{addr} (a store was lost or corrupted)"
                 )
-        elif final_value != ana.initial[addr]:
+        elif final_value != program.initial[addr]:
             raise _Rejected(
                 f"final [{addr}] = {final_value} but {addr} is never "
-                f"stored (initial value {ana.initial[addr]})"
+                f"stored (initial value {program.initial[addr]})"
             )
+    return rf
 
 
-def _init_clocks(ana: _Analysis) -> None:
-    num_threads = len(ana.by_thread)
-    ana.clocks = [[0] * num_threads for _ in ana.events]
-    for row in ana.by_thread:
-        prev: Optional[_Event] = None
-        for event in row:
-            clock = ana.clocks[event.eid]
-            if prev is not None:
-                for t, v in enumerate(ana.clocks[prev.eid]):
-                    clock[t] = v
-            clock[event.thread] = event.pos + 1
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _hb(ana: _Analysis, a: _Event, b: _Event) -> bool:
-    """Must ``a`` happen before ``b`` in every witness?"""
-    return ana.clocks[b.eid][a.thread] >= a.pos + 1
+def _closure(
+    program: _Program, rf: List[Optional[int]], final: Dict[str, int]
+) -> List[int]:
+    """Layer 2 (SC): fixed-rf coherence inference to fixpoint.  Returns
+    the reflexive must-happen-before down-set of every event."""
+    down = list(program.po_down)
+    up = list(program.po_up)
+    ops, thread_of = program.ops, program.thread_of
 
-
-def _add_edge(ana: _Analysis, a: _Event, b: _Event) -> bool:
-    """Record must-edge ``a -> b``; propagate clocks forward until they
-    settle; returns True when anything changed.  Raises
-    :class:`_Rejected` on a cycle."""
-    if a.eid == b.eid or _hb(ana, a, b):
-        return False
-    if _hb(ana, b, a):
-        raise _Rejected(
-            f"ordering cycle: {b.op} (T{b.thread}) must precede "
-            f"{a.op} (T{a.thread}) and vice versa"
-        )
-    ana.succ.setdefault(a.eid, set()).add(b.eid)
-    # Relax clocks along outgoing edges (program order + added edges);
-    # clocks only grow, so this terminates.
-    worklist = [(a.eid, b.eid)]
-    while worklist:
-        src, dst = worklist.pop()
-        src_clock = ana.clocks[src]
-        dst_clock = ana.clocks[dst]
-        changed = False
-        for t, v in enumerate(src_clock):
-            if v > dst_clock[t]:
-                dst_clock[t] = v
-                changed = True
-        if not changed:
-            continue
-        event = ana.events[dst]
-        if dst_clock[event.thread] > event.pos + 1:
+    def add_edge(a: int, b: int) -> bool:
+        """Record must-edge ``a -> b``; returns True when it is new.
+        Raises :class:`_Rejected` when ``b -> a`` already holds.  The
+        down- and up-sets stay transitively closed, so that check is
+        the only cycle there is to find."""
+        if down[b] >> a & 1:
+            return False
+        if down[a] >> b & 1:
             raise _Rejected(
-                f"ordering cycle through {event.op} (T{event.thread})"
+                f"ordering cycle: {ops[b]} (T{thread_of[b]}) must precede "
+                f"{ops[a]} (T{thread_of[a]}) and vice versa"
             )
-        row = ana.by_thread[event.thread]
-        if event.pos + 1 < len(row):
-            worklist.append((dst, row[event.pos + 1].eid))
-        for nxt in ana.succ.get(dst, ()):
-            worklist.append((dst, nxt))
-    return True
-
-
-def _closure(ana: _Analysis) -> None:
-    """Layer 2 (SC): fixed-rf coherence inference to fixpoint."""
-    _init_clocks(ana)
+        # Events already after ``a`` (before ``b``) hold its down-set
+        # (up-set) by transitivity; only the others grow.
+        before, after = down[a], up[b]
+        grow_down, grow_up = after & ~up[a], before & ~down[b]
+        while grow_down:
+            low = grow_down & -grow_down
+            down[low.bit_length() - 1] |= before
+            grow_down ^= low
+        while grow_up:
+            low = grow_up & -grow_up
+            up[low.bit_length() - 1] |= after
+            grow_up ^= low
+        return True
 
     # Seed edges: fixed reads-from, init-reading loads, unique final
-    # writers.
-    for load in ana.loads:
-        if load.rf is None:
+    # writers.  A store already ordered the right way is a no-op, and
+    # stays one, so the masks skip it.
+    for load in program.loads:
+        writer = rf[load]
+        if writer is None:
             continue
-        stores = ana.stores_to.get(load.op.addr, [])
-        if load.rf == _INIT:
+        if writer == _INIT:
             # Reading the initial value: every store to the location
             # comes after the load.
-            for s in stores:
-                _add_edge(ana, load, s)
+            stores = program.store_masks.get(ops[load].addr, 0)
+            for s in _bits(stores & ~up[load]):
+                add_edge(load, s)
         else:
-            _add_edge(ana, ana.events[load.rf], load)
-    for addr, final_value in ana.final.items():
-        stores = ana.stores_to.get(addr, [])
-        finals = [s for s in stores if s.value == final_value]
-        if stores and len(finals) == 1:
+            add_edge(writer, load)
+    for addr, final_value in final.items():
+        finals = program.writers.get(addr, {}).get(final_value, ())
+        if len(finals) == 1:
             last = finals[0]
-            for s in stores:
-                _add_edge(ana, s, last)
+            for s in _bits(program.store_masks[addr] & ~down[last]):
+                add_edge(s, last)
 
     # Derived rules (Roy et al.): for load l with fixed writer s and
     # same-address store s':  s' -> l  implies  s' -> s;   s -> s'
-    # implies  l -> s'.
+    # implies  l -> s'.  Stores are visited in event order, each the
+    # lowest one above the last for which a rule adds an edge now.
+    fixed = [
+        (load, rf[load], program.store_masks[ops[load].addr] & ~(1 << rf[load]))
+        for load in program.loads
+        if rf[load] is not None and rf[load] != _INIT
+    ]
     changed = True
-    guard = 0
     while changed:
         changed = False
-        guard += 1
-        if guard > len(ana.events) ** 2 + 8:
-            break  # paranoia bound; edges are monotone so unreachable
-        for load in ana.loads:
-            if load.rf is None or load.rf == _INIT:
-                continue
-            writer = ana.events[load.rf]
-            for s2 in ana.stores_to.get(load.op.addr, []):
-                if s2.eid == writer.eid:
-                    continue
-                if _hb(ana, s2, load) and _add_edge(ana, s2, writer):
+        for load, writer, rest in fixed:
+            while True:
+                pending = rest & (
+                    (down[load] & ~down[writer]) | (up[writer] & ~up[load])
+                )
+                if not pending:
+                    break
+                low = pending & -pending
+                s2 = low.bit_length() - 1
+                rest &= ~((low << 1) - 1)
+                if down[load] >> s2 & 1 and add_edge(s2, writer):
                     changed = True
-                if _hb(ana, writer, s2) and _add_edge(ana, load, s2):
+                if up[writer] >> s2 & 1 and add_edge(load, s2):
                     changed = True
+    return down
 
 
-def _search_sc(ana: _Analysis, max_states: int) -> int:
+def _over_budget(max_states: int) -> ReproError:
+    return ReproError(f"polycheck: witness search exceeded {max_states} states")
+
+
+def _search_sc(
+    program: _Program,
+    observed: List[Optional[int]],
+    final: Dict[str, int],
+    down: List[int],
+    max_states: int,
+) -> int:
     """Layer 3 (SC): memoized frontier search for a witness
-    interleaving.  Returns states visited; raises on no-witness or
-    budget."""
-    addr_index = {addr: i for i, addr in enumerate(sorted(ana.initial))}
-    init_mem = tuple(
-        ana.initial[addr] for addr in sorted(ana.initial)
-    )
-    final_mem = tuple(
-        ana.final[addr] for addr in sorted(ana.initial)
-    )
-    total = tuple(len(row) for row in ana.by_thread)
-    start = (tuple(0 for _ in ana.by_thread), init_mem)
+    interleaving.  A state is the mask of executed events plus memory;
+    each thread's next event is the lowest bit of its mask not yet
+    done.  Returns states visited; raises on no-witness or budget."""
+    init_mem = tuple(program.initial[addr] for addr in program.addrs)
+    final_mem = tuple(final[addr] for addr in program.addrs)
+    need = [mask & ~(1 << eid) for eid, mask in enumerate(down)]
+    table, thread_masks = program.table, program.thread_masks
+    everything = (1 << len(program.ops)) - 1
+    start = (0, init_mem)
     seen = {start}
     stack = [start]
     while stack:
-        pcs, mem = stack.pop()
-        if pcs == total:
+        done, mem = stack.pop()
+        if done == everything:
             if mem == final_mem:
                 return len(seen)
             continue
-        for tid, pc in enumerate(pcs):
-            if pc >= total[tid]:
+        todo = ~done
+        for thread_mask in thread_masks:
+            left = thread_mask & todo
+            if not left:
                 continue
-            event = ana.by_thread[tid][pc]
+            low = left & -left
+            eid = low.bit_length() - 1
             # Closure prune: every must-predecessor already executed.
-            clock = ana.clocks[event.eid]
-            if any(
-                pcs[u] < clock[u] for u in range(len(pcs)) if u != tid
-            ):
+            if need[eid] & todo:
                 continue
-            op = event.op
+            kind, idx, value = table[eid]
             new_mem = mem
-            if op.is_store:
-                idx = addr_index[op.addr]
-                new_mem = mem[:idx] + (op.value,) + mem[idx + 1 :]
-            elif op.is_load:
-                if mem[addr_index[op.addr]] != event.value:
-                    continue
-            state = (pcs[:tid] + (pc + 1,) + pcs[tid + 1 :], new_mem)
+            if kind == "W":
+                new_mem = mem[:idx] + (value,) + mem[idx + 1 :]
+            elif kind == "R" and mem[idx] != observed[eid]:
+                continue
+            state = (done | low, new_mem)
             if state not in seen:
                 if len(seen) >= max_states:
-                    raise ReproError(
-                        f"polycheck: witness search exceeded "
-                        f"{max_states} states"
-                    )
+                    raise _over_budget(max_states)
                 seen.add(state)
                 stack.append(state)
     raise _Rejected("no SC interleaving reproduces the observed values")
 
 
-def _search_tso(ana: _Analysis, max_states: int) -> int:
+def _search_tso(
+    program: _Program,
+    observed: List[Optional[int]],
+    final: Dict[str, int],
+    max_states: int,
+) -> int:
     """Layer 3 (TSO): witness search over the store-buffer machine."""
-    addrs = sorted(ana.initial)
-    addr_index = {addr: i for i, addr in enumerate(addrs)}
-    init_mem = tuple(ana.initial[addr] for addr in addrs)
-    final_mem = tuple(ana.final[addr] for addr in addrs)
-    total = tuple(len(row) for row in ana.by_thread)
-    empty = tuple(() for _ in ana.by_thread)
-    start = (tuple(0 for _ in ana.by_thread), empty, init_mem)
+    init_mem = tuple(program.initial[addr] for addr in program.addrs)
+    final_mem = tuple(final[addr] for addr in program.addrs)
+    total = tuple(len(row) for row in program.by_thread)
+    empty = tuple(() for _ in program.by_thread)
+    start = (tuple(0 for _ in program.by_thread), empty, init_mem)
     seen = {start}
     stack = [start]
     while stack:
@@ -401,45 +414,31 @@ def _search_tso(ana: _Analysis, max_states: int) -> int:
             if buffer:  # drain the head
                 idx, value = buffer[0]
                 new_mem = mem[:idx] + (value,) + mem[idx + 1 :]
-                successors.append(
-                    (
-                        pcs,
-                        buffers[:tid] + (buffer[1:],) + buffers[tid + 1 :],
-                        new_mem,
-                    )
-                )
+                drained = buffers[:tid] + (buffer[1:],) + buffers[tid + 1 :]
+                successors.append((pcs, drained, new_mem))
             if pc >= total[tid]:
                 continue
-            event = ana.by_thread[tid][pc]
-            op = event.op
+            eid = program.by_thread[tid][pc]
+            kind, idx, value = program.table[eid]
             new_pcs = pcs[:tid] + (pc + 1,) + pcs[tid + 1 :]
-            if op.is_store:
-                entry = (addr_index[op.addr], op.value)
-                successors.append(
-                    (
-                        new_pcs,
-                        buffers[:tid] + (buffer + (entry,),) + buffers[tid + 1 :],
-                        mem,
-                    )
-                )
-            elif op.is_fence:
+            if kind == "W":
+                entry = buffer + ((idx, value),)
+                pushed = buffers[:tid] + (entry,) + buffers[tid + 1 :]
+                successors.append((new_pcs, pushed, mem))
+            elif kind == "F":
                 if not buffer:
                     successors.append((new_pcs, buffers, mem))
             else:
-                idx = addr_index[op.addr]
                 value = mem[idx]
                 for buf_idx, buf_value in buffer:  # youngest wins
                     if buf_idx == idx:
                         value = buf_value
-                if value == event.value:
+                if value == observed[eid]:
                     successors.append((new_pcs, buffers, mem))
         for state in successors:
             if state not in seen:
                 if len(seen) >= max_states:
-                    raise ReproError(
-                        f"polycheck: witness search exceeded "
-                        f"{max_states} states"
-                    )
+                    raise _over_budget(max_states)
                 seen.add(state)
                 stack.append(state)
     raise _Rejected(
@@ -462,22 +461,23 @@ def check_trace(
     """
     if model not in ("sc", "tso"):
         raise ReproError(f"unknown model {model!r}; choose 'sc' or 'tso'")
-    ana = _build_analysis(trace)
-    verdict = TraceVerdict(
-        conformant=True, model=model, events=len(ana.events)
-    )
+    program, observed, final = _analyse(trace)
+    verdict = TraceVerdict(conformant=True, model=model, events=len(program.ops))
     recorder = obs.get_recorder()
     if recorder.enabled:
         recorder.count("polycheck.traces", 1)
-        recorder.count("polycheck.events", len(ana.events))
+        recorder.count("polycheck.events", len(program.ops))
     try:
-        _value_feasibility(ana)
+        rf = _value_feasibility(program, observed, final)
         if model == "sc":
-            _closure(ana)
-            verdict.search_states = _search_sc(ana, max_states)
+            down = _closure(program, rf, final)
+            verdict.search_states = _search_sc(
+                program, observed, final, down, max_states
+            )
         else:
-            _init_clocks(ana)  # clocks unused for pruning, kept for stats
-            verdict.search_states = _search_tso(ana, max_states)
+            verdict.search_states = _search_tso(
+                program, observed, final, max_states
+            )
     except _Rejected as rejected:
         verdict.conformant = False
         verdict.reason = str(rejected)
