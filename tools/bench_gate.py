@@ -13,14 +13,19 @@ metric slowed down by more than the threshold (default 25%).
 Raw wall-clock seconds are useless across heterogeneous CI machines,
 so every metric is reported in **calibrated units**: the metric's
 best-of-N seconds (N at least 3, and enough for a short metric's
-repeats to span about a second) divided by the calibration seconds,
-the median of best-of-N runs of a fixed pure-Python calibration
-workload, one run interleaved before each metric in the same process.
-A machine that is uniformly 2x slower scores the same units; only
-*relative* regressions (an algorithmic or representation change in
-this repo) move the ratio.  Interleaving spreads the calibration over the whole
-gate run, so one slow or fast phase of a shared host moves the
-divisor of every metric alike instead of all of them by its luck.
+repeats to span about a second) divided by the calibration seconds of
+that metric, the mean of the best-of-N runs of a fixed pure-Python
+calibration workload just before and just after it, in the same
+process (as ``benchmarks/perf/bench.py`` rescales each segment by the
+reference loops around it).  A machine that is uniformly 2x slower
+scores the same units; only *relative* regressions (an algorithmic or
+representation change in this repo) move the ratio.  Bracketing each
+metric follows a shared host's speed while that metric runs, where one
+divisor for the whole gate run scaled every metric by the luck of all
+the phases.
+
+``--only METRIC`` measures one metric alone (repeatable), which is how
+a baseline entry is re-measured after a change to that metric.
 
 Usage:
 
@@ -45,10 +50,29 @@ import os
 import statistics
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
+
+
+def _checkout_src_position() -> int:
+    """Where this checkout's ``src`` goes on ``sys.path``: right after
+    the last ``PYTHONPATH`` entry, so ``PYTHONPATH=<tree>/src`` times
+    that tree, and first when ``PYTHONPATH`` is unset."""
+    entries = {
+        os.path.abspath(entry)
+        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        if entry
+    }
+    positions = [
+        i
+        for i, entry in enumerate(sys.path)
+        if entry and os.path.abspath(entry) in entries
+    ]
+    return positions[-1] + 1 if positions else 0
+
 
 sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    _checkout_src_position(),
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
 SCHEMA_VERSION = 1
@@ -326,26 +350,34 @@ def _best_of(fn: Callable[[], None], repeats: int, extra: float = 0.0) -> float:
     return best
 
 
-def run_gate(repeats: int, inject_slowdown: Optional[str] = None) -> Dict:
-    calibrations = []
+def run_gate(
+    repeats: int,
+    inject_slowdown: Optional[str] = None,
+    only: Optional[Sequence[str]] = None,
+) -> Dict:
+    """Measure every metric (or those named in ``only``), each between
+    two calibration runs; ``calibrations`` lists them in run order."""
+    calibrations = [_best_of(_calibration_workload, repeats)]
     seconds_by_metric = {}
     for name, fn in METRICS.items():
-        calibrations.append(_best_of(_calibration_workload, repeats))
+        if only and name not in only:
+            continue
         warm_seconds = _best_of(fn, 1)  # one warm-up: imports, caches
         extra = 0.6 * warm_seconds if name == inject_slowdown else 0.0
         runs = max(repeats, math.ceil(MIN_MEASURED_SECONDS / warm_seconds))
         seconds_by_metric[name] = _best_of(fn, runs, extra=extra)
-    calibration = statistics.median(calibrations)
-    metrics = {
-        name: {
+        calibrations.append(_best_of(_calibration_workload, repeats))
+    metrics = {}
+    for i, (name, seconds) in enumerate(seconds_by_metric.items()):
+        calibration = (calibrations[i] + calibrations[i + 1]) / 2
+        metrics[name] = {
             "seconds": round(seconds, 4),
             "units": round(seconds / calibration, 4),
         }
-        for name, seconds in seconds_by_metric.items()
-    }
     return {
         "schema_version": SCHEMA_VERSION,
-        "calibration_seconds": round(calibration, 4),
+        "calibration_seconds": round(statistics.median(calibrations), 4),
+        "calibrations": [round(c, 4) for c in calibrations],
         "repeats": repeats,
         "metrics": metrics,
     }
@@ -406,9 +438,19 @@ def main(argv=None) -> int:
         default=None,
         help="artificially slow one metric (gate self-test only)",
     )
+    parser.add_argument(
+        "--only",
+        action="append",
+        choices=sorted(METRICS),
+        default=None,
+        metavar="METRIC",
+        help="measure only this metric (repeatable)",
+    )
     args = parser.parse_args(argv)
 
-    current = run_gate(args.repeats, inject_slowdown=args.inject_slowdown)
+    current = run_gate(
+        args.repeats, inject_slowdown=args.inject_slowdown, only=args.only
+    )
     with open(args.output, "w") as handle:
         json.dump(current, handle, indent=2, sort_keys=True)
         handle.write("\n")
