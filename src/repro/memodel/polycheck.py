@@ -43,8 +43,8 @@ bit sets, the operation table) is built once per program, not per trace.
 
 On the fuzzer's long-program mode, store values are unique per
 location, so every read and the final writer are unambiguous: the
-closure fixes the full coherence order and the search degenerates to
-walking one witness — the polynomial case Roy et al. identify.
+closure orders every store a load or the final memory observes, and
+the search walks about two states per event.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ class _Rejected(Exception):
 
 class _Program:
     """Everything :func:`check_trace` needs of a program that does not
-    depend on the observed values, built once per program.  Events are
-    numbered thread by thread in program order, so each thread's events
-    are a contiguous run of bits."""
+    depend on the observed values, built once per program and shared,
+    read-only, by its traces.  Events are numbered thread by thread in
+    program order, so each thread's events are a contiguous run of
+    bits."""
 
     def __init__(self, threads, initial_memory):
         self.ops = [op for thread in threads for op in thread]
@@ -253,8 +254,7 @@ def _closure(
 ) -> List[int]:
     """Layer 2 (SC): fixed-rf coherence inference to fixpoint.  Returns
     the reflexive must-happen-before down-set of every event."""
-    down = list(program.po_down)
-    up = list(program.po_up)
+    down, up = list(program.po_down), list(program.po_up)
     ops, thread_of = program.ops, program.thread_of
 
     def add_edge(a: int, b: int) -> bool:

@@ -15,7 +15,8 @@ interleaving, some perturbed afterwards:
 
 * for every ordered event pair, ``a`` must happen before ``b`` in the
   bit-set closure iff the reference clocks say so, and both closures
-  reject with the same reason when either does;
+  reject with the same reason when either does (also on harvested and
+  perturbed traces of long fuzz programs, where many edges meet);
 * every :class:`~repro.memodel.polycheck.TraceVerdict` field of
   ``check_trace`` under ``"sc"`` and ``"tso"`` equals the reference's.
 """
@@ -412,21 +413,51 @@ def _bitset_relation(trace: Trace):
     return down, None
 
 
+def _assert_same_relation(trace: Trace) -> None:
+    ana, ref_reason = _reference_relation(trace)
+    down, reason = _bitset_relation(trace)
+    assert reason == ref_reason
+    if ana is None:
+        return
+    for a in ana.events:
+        for b in ana.events:
+            assert bool(down[b.eid] >> a.eid & 1) == _hb(ana, a, b), (
+                f"{a.op} (T{a.thread}) -> {b.op} (T{b.thread})"
+            )
+
+
 class TestClosureDifferential:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_must_happen_before_matches_vector_clocks(self, seed):
-        trace = _random_trace(random.Random(seed))
-        ana, ref_reason = _reference_relation(trace)
-        down, reason = _bitset_relation(trace)
-        assert reason == ref_reason
-        if ana is None:
-            return
-        for a in ana.events:
-            for b in ana.events:
-                assert bool(down[b.eid] >> a.eid & 1) == _hb(ana, a, b), (
-                    f"{a.op} (T{a.thread}) -> {b.op} (T{b.thread})"
+        _assert_same_relation(_random_trace(random.Random(seed)))
+
+    def test_long_programs_match_vector_clocks(self):
+        # Harvested and perturbed traces of long fuzz programs (two to
+        # four threads of 8-16 operations, unique store values): the
+        # closure adds many edges per trace, and large sets meet.
+        from repro.difftest.generate import FuzzGenerator
+        from repro.vscale.trace import harvest_traces
+
+        generator = FuzzGenerator(5, 4, long_programs=True)
+        for test in generator.suite(6):
+            traces = harvest_traces(test, "fixed", samples=4).traces
+            rng = random.Random(f"long:{test.name}")
+            for trace in list(traces):
+                regs = dict(trace.load_values)
+                if not regs:
+                    continue
+                reg = rng.choice(sorted(regs))
+                regs[reg] = rng.choice(
+                    [v for v in range(5) if v != regs[reg]]
                 )
+                traces.append(
+                    Trace(trace.threads, tuple(sorted(regs.items())),
+                          trace.final_memory, trace.initial_memory)
+                )
+            for trace in traces:
+                _assert_same_relation(trace)
+                assert check_trace(trace) == reference_check_trace(trace)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import get_test
 from repro.difftest.oracles import trace_verdicts
 from repro.memodel import polycheck
 from repro.vscale.trace import harvest_traces
@@ -94,7 +93,7 @@ def test_trace_verdicts_calls_check_trace_once_per_trace(name, monkeypatch):
     # attribute ``polycheck.check_trace``: ``trace_verdicts`` must look
     # it up at call time and call it once per harvested trace, or the
     # measured check time silently reads zero.
-    test = get_test(name) if name in ("mp", "iriw") else CASES[name][1]
+    test = CASES[name][1]
     seen = []
     real = polycheck.check_trace
 
