@@ -77,6 +77,36 @@ class TestGeneratorDeterminism:
         assert validate_cycle(a) is None
 
 
+#: sha256 (first 16 hex digits) of the sorted-key JSON of
+#: ``[name, litmus_digest, meta]`` over ``FuzzGenerator(seed, 4,
+#: long_programs).suite(200)``, keyed by ``(seed, long_programs)``.
+GENERATOR_PIN = {
+    (0, False): "6118511fbc0753bd",
+    (1, False): "e1dde9079a958e7c",
+    (2, False): "62d872fee985ad90",
+    (0, True): "3177f8aa6ff62245",
+    (1, True): "05c83f7f7ae76bb3",
+    (2, True): "33b94d9fb03f2911",
+}
+
+
+@pytest.mark.parametrize("seed, long_programs", sorted(GENERATOR_PIN))
+def test_generator_matches_pin(seed, long_programs):
+    """The generated tests and their provenance are a pure function of
+    the seed: a faster draw-and-reject loop must reproduce them."""
+    import hashlib
+
+    from repro.cache.keys import litmus_digest
+
+    generator = FuzzGenerator(seed, 4, long_programs)
+    rows = [
+        [test.name, litmus_digest(test), generator.meta[test.name]]
+        for test in generator.suite(200)
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == GENERATOR_PIN[(seed, long_programs)]
+
+
 class TestGeneratorValidity:
     def test_generated_tests_are_wellformed_and_capped(self):
         for test in FuzzGenerator(0).suite(40):
