@@ -309,12 +309,17 @@ def random_cycle(
     cycles, so draw-and-validate until one passes (``max_attempts``
     bounds pathological alphabets).
     """
-    for name in alphabet:
+    edges = list(alphabet)
+    for name in edges:
         if name not in CYCLE_EDGES:
             raise LitmusError(f"unknown cycle edge {name!r}")
     for _ in range(max_attempts):
         length = rng.randint(min_length, max_length)
-        cycle = tuple(rng.choice(list(alphabet)) for _ in range(length))
+        cycle = tuple(rng.choice(edges) for _ in range(length))
+        # Type chaining is rotation-invariant: reject before canonicalising.
+        specs = [CYCLE_EDGES[name] for name in cycle]
+        if any(a.dst != b.src for a, b in zip(specs, specs[1:] + specs[:1])):
+            continue
         cycle = cycle_signature(cycle)
         if validate_cycle(cycle) is not None:
             continue

@@ -12,11 +12,14 @@ namespace the source executes in, not in the source: each core's
 instruction memory (``IMEM{i}``), its length (``NI{i}``) and a
 precomputed decode table (``DEC{i}``: ``word -> (kind, rs1, rd/rs2,
 imm)``), plus the declared data words as a ``word -> slot`` dict.  The
-sources therefore depend only on the slot layout, and designs that
+sources are generated from a hashable :class:`_Layout` record alone
+(core, arbiter and memory bases, base PCs, the memory variant), and
+the code cache (:func:`_layout_code`) is keyed by that record: a design
+whose layout was seen before generates no source, and designs that
 share a layout but run different programs share one compiled code
-object (:data:`_CODE_CACHE`).  ``step_state`` mirrors
-:meth:`MultiVScale.eval_comb` + :meth:`MultiVScale.tick` statement for
-statement — including the load->store writeback forwarding, the
+object.
+``step_state`` mirrors :meth:`MultiVScale.eval_comb` +
+:meth:`MultiVScale.tick` statement for statement — including the load->store writeback forwarding, the
 fetch-past-imem error, and the memory word-set growth guard — and
 ``tests/test_kernel_codegen.py`` checks it against the interpreter.
 
@@ -37,8 +40,8 @@ kind  instruction
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Tuple
+import functools
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import RtlError
 from repro.isa import Addi, Halt, Lui, Lw, Sw
@@ -95,27 +98,36 @@ def _grow_error(word: int) -> RtlError:
     )
 
 
-class _KernelSpec:
-    """Static parameters harvested from a MultiVScale instance."""
+class _Layout(NamedTuple):
+    """Everything the generated sources read: the slot layout of one
+    design.  Hashable, so it keys the code cache directly."""
 
-    def __init__(self, design):
-        self.num_cores = design.arbiter.num_cores
-        self.core_bases: List[int] = list(design._core_bases)
-        self.base_pcs = [core.base_pc for core in design.cores]
-        self.imems = [tuple(core.imem) for core in design.cores]
-        self.arb = design._arb_base
-        self.mem = design._mem_base
+    core_bases: Tuple[int, ...]
+    base_pcs: Tuple[int, ...]
+    arb: int
+    mem: int
+    buggy: bool
+    #: Slot of the buggy memory's write-buffer ``wvalid`` (``None`` on
+    #: the fixed memory, whose sources never read it).
+    woff: Optional[int]
+
+    @classmethod
+    def of(cls, design) -> "_Layout":
         memory = design.memory
-        self.buggy = isinstance(memory, BuggyMemory)
-        self.words: Tuple[int, ...] = tuple(memory.slot_words)
-        self.mem_slot0 = self.mem + MemoryBase.PENDING_SLOTS
-        #: word address -> absolute slot index of its memory cell.
-        self.memidx = {
-            word: self.mem_slot0 + i for i, word in enumerate(self.words)
-        }
-        self.woff = self.mem_slot0 + len(self.words)  # buggy-only wvalid
-        #: owner core id -> absolute slot of its wb_store_data.
-        self.sd_off = tuple(base + 8 for base in self.core_bases)
+        buggy = isinstance(memory, BuggyMemory)
+        mem = design._mem_base
+        return cls(
+            core_bases=tuple(design._core_bases),
+            base_pcs=tuple(core.base_pc for core in design.cores),
+            arb=design._arb_base,
+            mem=mem,
+            buggy=buggy,
+            woff=(
+                mem + MemoryBase.PENDING_SLOTS + len(memory.slot_words)
+                if buggy
+                else None
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +135,7 @@ class _KernelSpec:
 # ----------------------------------------------------------------------
 
 
-def _emit_comb(spec: _KernelSpec, w) -> None:
+def _emit_comb(spec: _Layout, w) -> None:
     """The shared combinational phase: decode, stall, grant, memory
     data phase.  Binds per-core locals k/ma/ld/wr/alu/rs2x/ism/st and
     globals granted/g_ism/g_k/g_mw/pv/pc_/pk/pw/sdi/lo."""
@@ -150,12 +162,13 @@ def _emit_comb(spec: _KernelSpec, w) -> None:
         w(f"        wr{i} = t[2]; alu{i} = t[3]")
         w(f"ism{i} = 1 <= k{i} <= 2")
     w(f"granted = vec[{spec.arb}]")
-    for i in range(spec.num_cores):
+    for i in range(len(spec.core_bases)):
         w(f"st{i} = ism{i} and granted != {i}")
     # The granted core's DX view opens this cycle's address phase.
-    for i in range(spec.num_cores):
+    num_cores = len(spec.core_bases)
+    for i in range(num_cores):
         head = "if" if i == 0 else "elif"
-        cond = f"granted == {i}" if i < spec.num_cores - 1 else ""
+        cond = f"granted == {i}" if i < num_cores - 1 else ""
         if cond:
             w(f"{head} {cond}:")
         else:
@@ -172,18 +185,13 @@ def _emit_comb(spec: _KernelSpec, w) -> None:
     if spec.buggy:
         w(f"    elif vec[{spec.woff}] and vec[{spec.woff + 1}] == pw:")
         w(f"        lo = vec[{spec.woff + 2}]")
-        w("    else:")
-        w("        j = MEMIDX.get(pw)")
-        w("        if j is not None:")
-        w("            lo = vec[j]")
-    else:
-        w("    else:")
-        w("        j = MEMIDX.get(pw)")
-        w("        if j is not None:")
-        w("            lo = vec[j]")
+    w("    else:")
+    w("        j = MEMIDX.get(pw)")
+    w("        if j is not None:")
+    w("            lo = vec[j]")
 
 
-def _emit_tick(spec: _KernelSpec, w) -> None:
+def _emit_tick(spec: _Layout, w) -> None:
     """The sequential phase into a fresh ``buf`` (the successor vector,
     arbiter grant slot left for the caller to patch per choice)."""
     w("buf = list(vec)")
@@ -259,7 +267,7 @@ def _emit_tick(spec: _KernelSpec, w) -> None:
         w(f"            raise _fetch({i}, pcif{i})")
 
 
-def _generate_step_source(spec: _KernelSpec) -> str:
+def _generate_step_source(spec: _Layout) -> str:
     lines = ["def step_state(vec):"]
 
     def w(line: str) -> None:
@@ -271,7 +279,7 @@ def _generate_step_source(spec: _KernelSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _generate_drained_source(spec: _KernelSpec) -> str:
+def _generate_drained_source(spec: _Layout) -> str:
     halted = " and ".join(f"vec[{B + 14}]" for B in spec.core_bases)
     busy = " or ".join(
         f"vec[{B + 2}] or vec[{B + 5}]" for B in spec.core_bases
@@ -286,70 +294,48 @@ def _generate_drained_source(spec: _KernelSpec) -> str:
 # ----------------------------------------------------------------------
 
 
-def _make_namespace(spec: _KernelSpec) -> dict:
+def _make_namespace(design, layout: _Layout) -> dict:
+    """The per-program data the shared code runs against."""
+    mem_slot0 = layout.mem + MemoryBase.PENDING_SLOTS
     namespace = {
         "_dec": _extend_decode,
         "_fetch": _fetch_error,
         "_grow": _grow_error,
-        "MEMIDX": dict(spec.memidx),
-        "SD_OFF": spec.sd_off,
+        #: word address -> absolute slot index of its memory cell.
+        "MEMIDX": {
+            word: mem_slot0 + i
+            for i, word in enumerate(design.memory.slot_words)
+        },
+        #: owner core id -> absolute slot of its wb_store_data.
+        "SD_OFF": tuple(base + 8 for base in layout.core_bases),
     }
-    for i, imem in enumerate(spec.imems):
+    for i, core in enumerate(design.cores):
+        imem = tuple(core.imem)
         namespace[f"IMEM{i}"] = imem
         namespace[f"NI{i}"] = len(imem)
         namespace[f"DEC{i}"] = {word: decode_entry(word) for word in imem}
     return namespace
 
 
-class _Lru:
-    """A small least-recently-used map: compiled code is a pure
-    function of its source, so an evicted entry recompiles to the same
-    code.  The cap keeps long fuzz campaigns (long programs change the
-    slot layout) from holding every code object they ever compiled."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        if key not in self._entries:
-            return default
-        self._entries.move_to_end(key)
-        return self._entries[key]
-
-    def put(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-
-#: Entries the code cache keeps: above the paper suite's 112 (test,
-#: memory variant) pairs, so a whole suite stays cache-hot.
+#: Layouts whose code the cache keeps: above the paper suite's 112
+#: (test, memory variant) pairs, so a whole suite stays cache-hot.
 KERNEL_CACHE_SIZE = 128
 
-#: Generated source -> code object.  Sources depend on the slot layout
-#: only (per-program data is in the namespace), so designs running
-#: different programs on one layout compile once and just exec the
-#: shared code into their own namespace.
-_CODE_CACHE = _Lru(KERNEL_CACHE_SIZE)
 
-
-def _exec_source(source: str, namespace: dict, entry: str):
-    """Exec generated kernel ``source`` in ``namespace`` and return the
-    named entry point, compiling only on a :data:`_CODE_CACHE` miss."""
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, f"<step-kernel:{entry}>", "exec")
-        _CODE_CACHE.put(source, code)
-    exec(code, namespace)  # noqa: S102 - the source is generated here
-    return namespace[entry]
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _layout_code(layout: _Layout):
+    """The compiled ``(step_state, drained)`` code objects of ``layout``,
+    which every design on that layout execs into its own namespace.  An
+    evicted layout recompiles to the same code; the cap keeps long fuzz
+    campaigns (long programs change the layout) from holding every code
+    object they ever compiled."""
+    return tuple(
+        compile(generate(layout), f"<step-kernel:{entry}>", "exec")
+        for generate, entry in (
+            (_generate_step_source, "step_state"),
+            (_generate_drained_source, "drained"),
+        )
+    )
 
 
 def build_state_step(design):
@@ -363,10 +349,8 @@ def build_state_step(design):
     arbiter grant slot unpatched; ``drained(vec)`` is the quiescence
     predicate.  Code objects are shared across every design with the
     same slot layout."""
-    spec = _KernelSpec(design)
-    namespace = _make_namespace(spec)
-    step_state = _exec_source(
-        _generate_step_source(spec), namespace, "step_state"
-    )
-    drained = _exec_source(_generate_drained_source(spec), namespace, "drained")
-    return step_state, drained
+    layout = _Layout.of(design)
+    namespace = _make_namespace(design, layout)
+    for code in _layout_code(layout):
+        exec(code, namespace)  # noqa: S102 - the source is generated here
+    return namespace["step_state"], namespace["drained"]

@@ -10,19 +10,19 @@ for the per-execution consistency checker.  Per test the cost is
 long-program fuzzing feasible.
 
 Sampling runs on the design's frame-free compiled step
-(:meth:`~repro.vscale.soc.MultiVScale.state_step`).  Schedules progress
-in a *wavefront* of raw slot tuples, grouped by state, so each distinct
-state pays one ``step_state`` call per cycle no matter how many
-schedules currently occupy it — early on, all ``k`` schedules share
-the reset state and the whole wavefront advances for the price of one.  The grant is the only
-input, and it feeds only the arbiter slot, so a group builds one
-successor tuple per *distinct grant drawn* by its members; quiescence
-is the compiled predicate, evaluated once per group, and each distinct
-final state is read back into the design once.  Each schedule owns a
-:class:`random.Random` seeded from
+(:meth:`~repro.vscale.soc.MultiVScale.state_step`) in *lineage groups*:
+a slot list and the schedules that drew the same grants so far.  Each
+cycle a group asks the compiled quiescence predicate once, takes one
+``step_state`` call and splits only by the distinct grants its members
+draw (the grant feeds only the arbiter slot); the last split keeps the
+step's list, the others patch a copy.  Groups are never hashed or
+merged, so two lineages that reach one state step it twice (+0.3%
+steps on long programs).  A drained state becomes a tuple once, for
+the final-state dedupe, and each distinct one is read back into the
+design once.  Each schedule owns a :class:`random.Random` seeded from
 ``harvest:<seed>:<test name>:<schedule index>`` and draws exactly one
 grant per cycle it is active, so the harvest is deterministic in
-``(test, seed, samples)`` and independent of grouping order.
+``(test, seed, samples)`` and independent of grouping.
 """
 
 from __future__ import annotations
@@ -82,54 +82,64 @@ def harvest_traces(
     design = MultiVScale(compile_test(test), memory_variant)
     step = design.state_step()
     step_state, drained = step.step_state, step.drained
-    start, grant_slot, selects = step.start, step.grant_slot, step.selects
+    grant_slot, selects = step.grant_slot, step.selects
     choices = len(selects)
+    bits = choices.bit_length()
 
-    rngs = [
-        random.Random(f"harvest:{seed}:{test.name}:{i}") for i in range(samples)
+    draws = [
+        random.Random(f"harvest:{seed}:{test.name}:{i}").getrandbits
+        for i in range(samples)
     ]
-    states: List[Tuple[int, ...]] = [start] * samples
-    live = list(range(samples))
     finals: List[Optional[Tuple[int, ...]]] = [None] * samples
     grants: Optional[List[List[int]]] = (
         [[] for _ in range(samples)] if collect_grants else None
     )
 
+    def draw_grant(i: int) -> int:
+        # Random.randrange(choices), inlined: getrandbits(bits) redrawn
+        # while out of range -- the same draws, so the same grants.
+        draw = draws[i]
+        grant = draw(bits)
+        while grant >= choices:
+            grant = draw(bits)
+        if grants is not None:
+            grants[i].append(grant)
+        return grant
+
+    # Lineage groups: (state list, member schedules).
+    groups = [(list(step.start), list(range(samples)))] if samples else []
     cycles = 0
-    while live:
-        # Group the live schedules by state; a drained group retires,
-        # every other group takes one compiled step and builds one
-        # successor tuple per distinct grant its members draw.
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for i in live:
-            groups.setdefault(states[i], []).append(i)
-        stepping = []
-        for state, members in groups.items():
+    while groups:
+        successors = []
+        for state, members in groups:
             if drained(state):
+                final = tuple(state)
                 for i in members:
-                    finals[i] = state
-            else:
-                stepping.append((state, members))
-        live = [i for i in live if finals[i] is None]
-        if not live or cycles >= max_cycles:
+                    finals[i] = final
+            elif cycles < max_cycles:
+                buf = step_state(state)
+                if len(members) == 1:
+                    buf[grant_slot] = selects[draw_grant(members[0])]
+                    successors.append((buf, members))
+                    continue
+                splits: Dict[int, List[int]] = {}
+                for i in members:
+                    splits.setdefault(draw_grant(i), []).append(i)
+                grant, split = splits.popitem()
+                for other, others in splits.items():
+                    successor = buf.copy()
+                    successor[grant_slot] = selects[other]
+                    successors.append((successor, others))
+                buf[grant_slot] = selects[grant]
+                successors.append((buf, split))
+        if not successors:
             break
-        for state, members in stepping:
-            buf = step_state(state)
-            successors: Dict[int, Tuple[int, ...]] = {}
-            for i in members:
-                grant = rngs[i].randrange(choices)
-                if grants is not None:
-                    grants[i].append(grant)
-                successor = successors.get(grant)
-                if successor is None:
-                    buf[grant_slot] = selects[grant]
-                    successor = successors[grant] = tuple(buf)
-                states[i] = successor
+        groups = successors
         cycles += 1
 
     traces: List[Trace] = []
     seen_states: set = set()
-    seen_traces: set = set()
+    seen_outcomes: set = set()
     for final in finals:
         if final is None or final in seen_states:
             continue
@@ -141,8 +151,9 @@ def harvest_traces(
             design.memory_results(),
             test.initial_memory_map,
         )
-        if trace not in seen_traces:
-            seen_traces.add(trace)
+        # Every trace of one test shares its threads and initial memory.
+        if trace.outcome not in seen_outcomes:
+            seen_outcomes.add(trace.outcome)
             traces.append(trace)
     ngrams = None
     if grants is not None:
@@ -152,7 +163,7 @@ def harvest_traces(
     return Harvest(
         traces=traces,
         sampled=samples,
-        undrained=len(live),
+        undrained=finals.count(None),
         cycles=cycles,
         grant_ngrams=ngrams,
     )

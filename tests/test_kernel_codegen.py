@@ -12,9 +12,11 @@ paths in lockstep and requires the same successor slot vector for
 every grant choice and the same quiescence verdict at every cycle.
 """
 
+import functools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,28 @@ class TestSentinelSlots:
         ]
 
 
+def _design_spec(design):
+    """Every static parameter of ``design`` the kernel could read, taken
+    from the design directly rather than through ``_Layout.of``."""
+    from types import SimpleNamespace
+
+    from repro.vscale.memory import BuggyMemory, MemoryBase
+
+    mem = design._mem_base
+    words = tuple(design.memory.slot_words)
+    return SimpleNamespace(
+        num_cores=design.arbiter.num_cores,
+        core_bases=list(design._core_bases),
+        base_pcs=[core.base_pc for core in design.cores],
+        imems=[tuple(core.imem) for core in design.cores],
+        arb=design._arb_base,
+        mem=mem,
+        buggy=isinstance(design.memory, BuggyMemory),
+        words=words,
+        woff=mem + MemoryBase.PENDING_SLOTS + len(words),
+    )
+
+
 class TestLayoutSharedCode:
     """Per-program data lives in the kernel namespace (``IMEM``/``NI``/
     ``DEC``), so the frame-free sources depend on the slot layout only
@@ -114,19 +138,19 @@ class TestLayoutSharedCode:
     def test_programs_on_one_layout_share_code(self, monkeypatch, variant):
         from repro.vscale import kernel as vscale_kernel
 
-        monkeypatch.setattr(vscale_kernel, "_CODE_CACHE", vscale_kernel._Lru(8))
+        cache = functools.lru_cache(maxsize=8)(vscale_kernel._layout_code.__wrapped__)
+        monkeypatch.setattr(vscale_kernel, "_layout_code", cache)
         mp = MultiVScale(compile_test(get_test("mp")), variant)
         iriw = MultiVScale(compile_test(get_test("iriw")), variant)
         assert [len(c.imem) for c in mp.cores] != [len(c.imem) for c in iriw.cores]
-        sources = {
-            vscale_kernel._generate_step_source(vscale_kernel._KernelSpec(design))
-            for design in (mp, iriw)
-        }
-        assert len(sources) == 1
+        layouts = {vscale_kernel._Layout.of(design) for design in (mp, iriw)}
+        assert len(layouts) == 1
         steps = [vscale_kernel.build_state_step(d) for d in (mp, iriw)]
-        # One step_state and one drained code object, shared.
-        assert len(vscale_kernel._CODE_CACHE) == 2
+        # One layout entry: one step_state and one drained code object,
+        # both shared.
+        assert cache.cache_info().currsize == 1
         assert steps[0][0].__code__ is steps[1][0].__code__
+        assert steps[0][1].__code__ is steps[1][1].__code__
         assert steps[0][0] is not steps[1][0]
 
         # Each design steps its own program: follow a fixed schedule to
@@ -148,6 +172,41 @@ class TestLayoutSharedCode:
                 assert vec == design.state_vector(state)
             else:
                 pytest.fail("schedule did not drain")
+
+    def test_equal_layouts_generate_equal_sources(self):
+        """Key completeness of the code cache: over the paper suite and
+        the harvest pin's fuzz programs on both memories, designs with
+        equal layout records need equal sources, generated from every
+        parameter the design has (not only the record's), and those are
+        the record's own sources."""
+        from repro.vscale import kernel as vscale_kernel
+
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+        try:
+            from regen_golden_verdicts import harvest_tests
+        finally:
+            sys.path.pop(0)
+        by_layout = {}
+        designs = 0
+        for _, test in harvest_tests():
+            compiled = compile_test(test)
+            for variant in ("fixed", "buggy"):
+                design = MultiVScale(compiled, variant)
+                spec = _design_spec(design)
+                sources = (
+                    vscale_kernel._generate_step_source(spec),
+                    vscale_kernel._generate_drained_source(spec),
+                )
+                layout = vscale_kernel._Layout.of(design)
+                assert sources == (
+                    vscale_kernel._generate_step_source(layout),
+                    vscale_kernel._generate_drained_source(layout),
+                ), test.name
+                by_layout.setdefault(layout, set()).add(sources)
+                designs += 1
+        assert all(len(sources) == 1 for sources in by_layout.values())
+        # Several programs share each layout, so the cache is exercised.
+        assert len(by_layout) < designs // 4
 
     def test_build_state_step_leaves_numpy_unimported(self):
         """No compiled step path — the harvest, the outcome enumeration

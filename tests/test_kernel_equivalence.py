@@ -204,33 +204,59 @@ class TestBackendSelection:
             FuzzConfig(state_backend="kernel")
 
 
+def _bounded_code_cache(monkeypatch, maxsize):
+    """Give ``build_state_step`` a fresh code cache of ``maxsize``
+    layouts."""
+    import functools
+
+    from repro.vscale import kernel as vscale_kernel
+
+    cache = functools.lru_cache(maxsize=maxsize)(
+        vscale_kernel._layout_code.__wrapped__
+    )
+    monkeypatch.setattr(vscale_kernel, "_layout_code", cache)
+    return cache
+
+
 class TestCompileCache:
     """The compiled kernel's code cache is a bounded LRU whose
     evictions are invisible: a recompiled step is the same code."""
 
-    def test_lru_evicts_least_recently_used(self):
-        from repro.vscale.kernel import KERNEL_CACHE_SIZE, _Lru
+    def test_lru_evicts_least_recently_used(self, monkeypatch):
+        from repro.vscale.kernel import (
+            KERNEL_CACHE_SIZE,
+            _layout_code,
+            build_state_step,
+        )
 
         # A whole suite (56 tests x 2 memory variants) stays cache-hot.
         assert KERNEL_CACHE_SIZE > 2 * len(paper_suite())
-        lru = _Lru(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1  # refreshes "a"
-        lru.put("c", 3)
-        assert "a" in lru and "c" in lru and "b" not in lru
-        assert len(lru) == 2
+        assert _layout_code.cache_info().maxsize == KERNEL_CACHE_SIZE
+        cache = _bounded_code_cache(monkeypatch, 2)
+        mp = compile_test(get_test("mp"))
+        # co-mp declares one data word fewer: another buggy-memory layout.
+        co_mp = compile_test(get_test("co-mp"))
+
+        def code(compiled, variant):
+            return build_state_step(MultiVScale(compiled, variant))[0].__code__
+
+        a, b = code(mp, "fixed"), code(mp, "buggy")
+        assert code(mp, "fixed") is a  # refreshes mp/fixed
+        code(co_mp, "buggy")  # a third layout evicts mp/buggy
+        assert cache.cache_info().currsize == 2
+        assert code(mp, "fixed") is a
+        assert code(mp, "buggy") is not b
 
     def test_evicted_kernel_recompiles_identically(self, monkeypatch):
         from repro.vscale import kernel as vscale_kernel
 
-        monkeypatch.setattr(vscale_kernel, "_CODE_CACHE", vscale_kernel._Lru(1))
+        cache = _bounded_code_cache(monkeypatch, 1)
         mp = compile_test(get_test("mp"))
         first, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
-        # The buggy memory's layout differs, so its step_state (and each
-        # drained) evicts mp's code from the 1-entry cache.
+        # The buggy memory's layout differs, so its code evicts mp's
+        # from the 1-entry cache.
         vscale_kernel.build_state_step(MultiVScale(mp, "buggy"))
-        assert len(vscale_kernel._CODE_CACHE) == 1
+        assert cache.cache_info().currsize == 1
         again, _ = vscale_kernel.build_state_step(MultiVScale(mp, "fixed"))
         assert again.__code__ is not first.__code__
         assert again.__code__.co_code == first.__code__.co_code

@@ -1,18 +1,19 @@
 """The trace harvest against its reference wavefront and its pin.
 
-``repro.vscale.trace.harvest_traces`` steps raw slot tuples through the
-design's frame-free compiled step and builds one successor per distinct
-grant drawn.  :func:`reference_harvest` below is the wavefront it
-replaced, kept verbatim as a test-only reference: one ``step_batch``
+``repro.vscale.trace.harvest_traces`` steps lineage groups of slot
+lists through the design's frame-free compiled step and splits a group
+by the distinct grants its members draw.  :func:`reference_harvest`
+below is the wavefront the compiled harvest replaced, kept verbatim as a
+test-only reference: one ``step_batch``
 per distinct interned state per cycle, all four grant successors
 interned, quiescence asked of the design.
 
 Two independent checks pin the harvest:
 
 * a differential test against the reference over both memory
-  variants, several seeds, grant collection on and off, tiny cycle
-  budgets (the undrained path) and a program that fetches past its
-  instruction memory (the error path);
+  variants, several seeds and sample counts, grant collection on and
+  off, tiny cycle budgets (the undrained path) and a program that
+  fetches past its instruction memory (the error path);
 * ``tests/fixtures/trace_harvest.json``, digests of the reference's
   harvests of 60 long-program fuzz tests and the 56 suite tests on both
   memory variants, written by
@@ -149,6 +150,23 @@ def assert_same_harvest(harvest: Harvest, reference: Harvest) -> None:
     assert harvest.undrained == reference.undrained
     assert harvest.cycles == reference.cycles
     assert harvest.grant_ngrams == reference.grant_ngrams
+
+
+@pytest.mark.parametrize("choices", [1, 2, 3, 4])
+def test_inlined_grant_draw_is_randrange(choices):
+    """``harvest_traces`` draws a grant as ``getrandbits`` redrawn while
+    out of range; that must be the very draw ``Random.randrange`` makes,
+    or the harvest would leave the reference's schedules."""
+    bits = choices.bit_length()
+    for seed in range(8):
+        name = f"harvest:{seed}:draw:{choices}"
+        expected = random.Random(name)
+        draw = random.Random(name).getrandbits
+        for _ in range(500):
+            grant = draw(bits)
+            while grant >= choices:
+                grant = draw(bits)
+            assert grant == expected.randrange(choices)
 
 
 #: Suite shapes plus long-program fuzz tests (one and several threads,
