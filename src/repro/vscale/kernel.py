@@ -17,11 +17,11 @@ sources are generated from a hashable :class:`_Layout` record alone
 the code cache (:func:`_layout_code`) is keyed by that record: a design
 whose layout was seen before generates no source, and designs that
 share a layout but run different programs share one compiled code
-object.
-``step_state`` mirrors :meth:`MultiVScale.eval_comb` +
-:meth:`MultiVScale.tick` statement for statement — including the load->store writeback forwarding, the
-fetch-past-imem error, and the memory word-set growth guard — and
-``tests/test_kernel_codegen.py`` checks it against the interpreter.
+object.  ``step_state`` mirrors :meth:`MultiVScale.eval_comb` +
+:meth:`MultiVScale.tick` statement for statement — including the
+load->store writeback forwarding, the fetch-past-imem error, and the
+memory word-set growth guard — and ``tests/test_kernel_codegen.py``
+checks it against the interpreter.
 
 Decode kind codes (``DMEM_LOAD``/``DMEM_STORE`` align with 1/2 on
 purpose — the view's ``wb_type`` is just ``kind if kind <= 2 else 0``):
@@ -162,10 +162,10 @@ def _emit_comb(spec: _Layout, w) -> None:
         w(f"        wr{i} = t[2]; alu{i} = t[3]")
         w(f"ism{i} = 1 <= k{i} <= 2")
     w(f"granted = vec[{spec.arb}]")
-    for i in range(len(spec.core_bases)):
+    num_cores = len(spec.core_bases)
+    for i in range(num_cores):
         w(f"st{i} = ism{i} and granted != {i}")
     # The granted core's DX view opens this cycle's address phase.
-    num_cores = len(spec.core_bases)
     for i in range(num_cores):
         head = "if" if i == 0 else "elif"
         cond = f"granted == {i}" if i < num_cores - 1 else ""
@@ -301,12 +301,12 @@ def _make_namespace(design, layout: _Layout) -> dict:
         "_dec": _extend_decode,
         "_fetch": _fetch_error,
         "_grow": _grow_error,
-        #: word address -> absolute slot index of its memory cell.
+        # word address -> absolute slot index of its memory cell.
         "MEMIDX": {
             word: mem_slot0 + i
             for i, word in enumerate(design.memory.slot_words)
         },
-        #: owner core id -> absolute slot of its wb_store_data.
+        # owner core id -> absolute slot of its wb_store_data.
         "SD_OFF": tuple(base + 8 for base in layout.core_bases),
     }
     for i, core in enumerate(design.cores):

@@ -96,8 +96,8 @@ def harvest_traces(
     )
 
     def draw_grant(i: int) -> int:
-        # Random.randrange(choices), inlined: getrandbits(bits) redrawn
-        # while out of range -- the same draws, so the same grants.
+        # Random.randrange(choices) without its argument checks:
+        # getrandbits(bits) redrawn while out of range, the same draws.
         draw = draws[i]
         grant = draw(bits)
         while grant >= choices:

@@ -193,13 +193,15 @@ def _polycheck_long_test():
 
 @functools.lru_cache(maxsize=None)
 def _polycheck_traces():
-    """The trace oracle's harvests of the classic shapes plus one long
-    program, fixed memory (taken once, by the warm-up run)."""
+    """The trace oracle's harvests, fixed memory, of the classic shapes,
+    one 16-operations-per-thread program and the ``trace_harvest``
+    metric's long fuzz programs (taken once, by the warm-up run)."""
     from repro import get_test
     from repro.vscale.trace import harvest_traces
 
     tests = [get_test(name) for name in POLYCHECK_TESTS]
     tests.append(_polycheck_long_test())
+    tests.extend(_trace_harvest_tests())
     return tuple(
         trace
         for test in tests
@@ -210,7 +212,8 @@ def _polycheck_traces():
 def _bench_polycheck() -> None:
     """The trace checker alone: per-execution polycheck under SC of
     pre-harvested traces, as the trace oracle checks each one (the
-    harvest has its own metric, ``trace_harvest``)."""
+    harvest has its own metric, ``trace_harvest``).  The long fuzz
+    programs' 251 traces keep it well above timer noise."""
     from repro.memodel.polycheck import check_trace
 
     for trace in _polycheck_traces():
