@@ -435,6 +435,25 @@ class TestArtifactTiers:
         assert loaded.verdict_memo_misses == 0
         assert all(n.memo_hits == 0 and n.memo_misses == 0 for n in loaded.nfas)
 
+    @pytest.mark.parametrize("memory_variant", ["fixed", "buggy"])
+    @pytest.mark.parametrize("name", ["mp", "sb", "iwp24"])
+    def test_cold_cached_run_matches_uncached(self, tmp_path, name, memory_variant):
+        # A cold observed run on a fresh cache reports exactly what an
+        # uncached observed run does, memo counters included
+        # (``monitor.verdict_memo_*``, ``nfa.predicate_memo_*``).
+        test = get_test(name)
+        cached = RTLCheck(
+            cache=VerificationCache(tmp_path), observe=True
+        ).verify_test(test, memory_variant)
+        uncached = RTLCheck(observe=True).verify_test(test, memory_variant)
+        assert _strip_timings(cached.to_dict()) == _strip_timings(
+            uncached.to_dict()
+        )
+        assert cached.obs["counters"] == uncached.obs["counters"]
+        if not cached.verified_by_cover:
+            assert "monitor.verdict_memo_misses" in cached.obs["counters"]
+            assert "nfa.predicate_memo_misses" in cached.obs["counters"]
+
     def test_reach_tier_serves_other_config(self, tmp_path):
         # The graph stored by a Full_Proof run is loaded by a Hybrid
         # run (different verdict key, same reach key) — the config
