@@ -1,8 +1,8 @@
 """`repro.cache` — persistent, content-addressed verification cache.
 
-Verdicts, reach graphs, compiled SVA monitors, and difftest oracle
-outcome sets are pure functions of their inputs (design source, µspec
-model, mappings, litmus test, engine configuration).  This package
+Verdicts, reach graphs, and difftest oracle outcome sets are pure
+functions of their inputs (design source, µspec model, mappings,
+litmus test, engine configuration).  This package
 memoizes them on disk under SHA-256 keys of those inputs, giving warm
 re-runs of ``python -m repro suite`` / ``fuzz`` near-instant turnaround
 and interrupted campaigns a checkpointed restart.  See
@@ -18,7 +18,6 @@ from repro.cache.keys import (
     difftest_fingerprint,
     litmus_digest,
     model_digest,
-    monitor_key,
     oracle_key,
     reach_key,
     toolchain_fingerprint,
@@ -43,7 +42,6 @@ __all__ = [
     "difftest_fingerprint",
     "litmus_digest",
     "model_digest",
-    "monitor_key",
     "oracle_key",
     "reach_key",
     "toolchain_fingerprint",

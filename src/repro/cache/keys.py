@@ -1,7 +1,7 @@
 """Cache-key derivation: stable digests of the verification inputs.
 
-Every verdict, reach graph, compiled monitor, and oracle outcome set in
-this reproduction is a *pure function* of a small, enumerable input
+Every verdict, reach graph, and oracle outcome set in this
+reproduction is a *pure function* of a small, enumerable input
 set.  This module turns those inputs into content-addressed keys —
 SHA-256 hex digests of a canonical JSON payload — so that
 :class:`repro.cache.VerificationCache` can memoize them on disk.
@@ -218,6 +218,7 @@ def reach_key(
     )
 
 
+# Unused by verification; benchmarks/perf/ledger.py wraps it by name.
 def monitor_key(directive) -> str:
     """Key of one compiled SVA property monitor (NFAs + property tree).
 

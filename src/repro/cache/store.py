@@ -7,7 +7,7 @@ by the first two hex digits of the entry key —
 <root>/
   verdicts/ab/<key>.json    schema-versioned TestVerification snapshots
   graphs/cd/<key>.pkl       pickled shared ReachGraphs
-  nfas/ef/<key>.pkl         pickled compiled PropertyMonitors
+  nfas/ef/<key>.pkl         compiled PropertyMonitors (no longer written)
   oracles/01/<key>.json     difftest oracle outcome sets
   checkpoints/<key>.jsonl   campaign journals (resume bookkeeping)
 ```
@@ -45,6 +45,7 @@ from repro.cache.keys import CACHE_FORMAT_VERSION
 TIERS = {
     "verdict": ("verdicts", ".json"),
     "reach": ("graphs", ".pkl"),
+    # Read-only: keeps older versions' nfas/ in stats, gc and clear.
     "nfa": ("nfas", ".pkl"),
     "oracle": ("oracles", ".json"),
 }
@@ -306,8 +307,9 @@ class VerificationCache:
     def store_graph(self, key: str, graph) -> None:
         self._write("reach", key, pickle.dumps(graph, protocol=4))
 
-    # -- compiled-monitor (NFA) tier ------------------------------------
+    # -- compiled-monitor (NFA) tier: no longer written -----------------
 
+    # Unused (monitors are built in place); benchmarks/perf/ledger.py wraps it.
     def load_monitor(self, key: str):
         """Unpickle a cached compiled :class:`PropertyMonitor`."""
         raw = self._read("nfa", key)
@@ -323,6 +325,7 @@ class VerificationCache:
         self.stats.bump("cache.nfa.hits")
         return monitor
 
+    # Unused (monitors are built in place); benchmarks/perf/ledger.py wraps it.
     def store_monitor(self, key: str, monitor) -> None:
         """Pickle ``monitor`` with its memo tables cleared, so a loaded
         monitor's memo-economics counters match a freshly compiled one

@@ -132,9 +132,9 @@ class RTLCheck:
         #: — with or without full observability.
         self.coverage = coverage
         #: Optional :class:`repro.cache.VerificationCache`.  When set,
-        #: verdicts, reach graphs, and compiled monitors are memoized on
-        #: disk, keyed by the full verification input set (see
-        #: ``docs/caching.md``); ``None`` (the default) verifies cold.
+        #: verdicts and reach graphs are memoized on disk, keyed by the
+        #: full verification input set (see ``docs/caching.md``);
+        #: ``None`` (the default) verifies cold.
         self.cache = cache
 
     @classmethod
@@ -362,7 +362,7 @@ class RTLCheck:
             else:
                 with obs.span("proof", test=test.name) as proof_span:
                     for directive in generated.assertions:
-                        monitor = self._monitor(directive)
+                        monitor = PropertyMonitor(directive)
                         ground_truth = explorer.check_property(
                             monitor, EXPLORER_BUDGET
                         )
@@ -414,20 +414,6 @@ class RTLCheck:
                 # run actually simulated new transitions into it.
                 self.cache.store_graph(reach_key, graph)
         return result
-
-    def _monitor(self, directive: Directive) -> PropertyMonitor:
-        """Compile ``directive`` into a :class:`PropertyMonitor`,
-        memoized through the cache's NFA tier when one is attached."""
-        if self.cache is None:
-            return PropertyMonitor(directive)
-        from repro.cache import keys as cache_keys
-
-        key = cache_keys.monitor_key(directive)
-        monitor = self.cache.load_monitor(key)
-        if monitor is None:
-            monitor = PropertyMonitor(directive)
-            self.cache.store_monitor(key, monitor)
-        return monitor
 
     @staticmethod
     def _flush_monitor_counters(recorder, monitor: PropertyMonitor) -> None:

@@ -15,6 +15,7 @@ Covers the contracts docs/caching.md promises:
 * maintenance — LRU ``gc`` evicts oldest-touched entries first.
 """
 
+import functools
 import json
 import os
 import signal
@@ -442,10 +443,14 @@ class TestArtifactTiers:
         # uncached observed run does, memo counters included
         # (``monitor.verdict_memo_*``, ``nfa.predicate_memo_*``).
         test = get_test(name)
-        cached = RTLCheck(
-            cache=VerificationCache(tmp_path), observe=True
-        ).verify_test(test, memory_variant)
+        cache = VerificationCache(tmp_path)
+        cached = RTLCheck(cache=cache, observe=True).verify_test(
+            test, memory_variant
+        )
         uncached = RTLCheck(observe=True).verify_test(test, memory_variant)
+        # Monitors are built in place: the nfa tier is never touched.
+        assert not (tmp_path / "nfas").exists()
+        assert not [n for n in cache.stats.snapshot() if n.startswith("cache.nfa.")]
         assert _strip_timings(cached.to_dict()) == _strip_timings(
             uncached.to_dict()
         )
@@ -554,25 +559,39 @@ class TestOracleTier:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_directive():
+    return RTLCheck().generate(get_test("mp")).assertions[0]
+
+
 class TestMaintenance:
-    def _put(self, cache, name, age):
+    def _put(self, cache, name, age, tier="oracle"):
         key = keys.digest_payload({"entry": name})
-        cache.store_oracle(key, {"name": name})
-        path = cache._path("oracle", key)
+        if tier == "nfa":
+            # An entry as older versions left it: verification no
+            # longer writes the nfa tier.
+            from repro.sva.monitor import PropertyMonitor
+
+            cache.store_monitor(key, PropertyMonitor(_mp_directive()))
+        else:
+            cache.store_oracle(key, {"name": name})
+        path = cache._path(tier, key)
         stamp = time.time() - age
         os.utime(path, (stamp, stamp))
         return key
 
     def test_gc_evicts_lru_first(self, tmp_path):
         cache = VerificationCache(tmp_path)
+        oldest = self._put(cache, "oldest", age=2000, tier="nfa")
         old = self._put(cache, "old", age=1000)
         new = self._put(cache, "new", age=0)
         entry_bytes = cache._path("oracle", new).stat().st_size
         evicted = cache.gc(max_bytes=entry_bytes)
-        assert evicted == 1
+        assert evicted == 2
         assert cache.load_oracle(new) is not None
         assert cache.load_oracle(old) is None
-        assert cache.stats.get("cache.evictions") == 1
+        assert not cache._path("nfa", oldest).exists()
+        assert cache.stats.get("cache.evictions") == 2
 
     def test_hit_touches_entry(self, tmp_path):
         cache = VerificationCache(tmp_path)
@@ -588,9 +607,14 @@ class TestMaintenance:
     def test_clear_removes_everything(self, tmp_path):
         cache = VerificationCache(tmp_path)
         self._put(cache, "a", age=0)
+        self._put(cache, "b", age=0, tier="nfa")
+        usage = cache.usage()
+        assert usage["nfa"]["entries"] == 1 and usage["nfa"]["bytes"] > 0
+        assert usage["total"]["entries"] == 2
         removed = cache.clear()
-        assert removed == 1
+        assert removed == 2
         assert cache.usage()["total"]["entries"] == 0
+        assert not (tmp_path / "nfas").exists()
 
     def test_max_bytes_bound_self_enforces(self, tmp_path):
         # An instance bound triggers eviction after every write.

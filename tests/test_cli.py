@@ -294,13 +294,27 @@ class TestCacheCLI:
         assert "cache: verdict 0/1 hits" in capsys.readouterr().out
 
     def test_stats_gc_clear_roundtrip(self, capsys):
+        import re
+
+        from repro.cache import VerificationCache, keys
+        from repro.core.rtlcheck import RTLCheck
+        from repro.litmus.suite import get_test
+        from repro.sva.monitor import PropertyMonitor
+
         assert main(["verify", "mp"]) == 0
         capsys.readouterr()
+        # An nfa entry as older versions left it: verification no
+        # longer writes that tier, but stats, gc and clear cover it.
+        directive = RTLCheck().generate(get_test("mp")).assertions[0]
+        VerificationCache().store_monitor(
+            keys.digest_payload({"entry": "old"}), PropertyMonitor(directive)
+        )
 
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "cache directory:" in out
         assert "verdict" in out and "total" in out
+        assert re.search(r"^nfa +1 ", out, re.M)
         assert "checkpoint manifests:" in out
 
         assert main(["cache", "gc", "--max-bytes", "0"]) == 0
