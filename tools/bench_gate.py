@@ -2,8 +2,9 @@
 """CI benchmark-regression gate.
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-property walks, random-schedule simulation, difftest oracle
-throughput, paper-suite construction, SVA generation, the trace
+property walks, a cold suite on a fresh cache directory,
+random-schedule simulation, difftest oracle throughput, paper-suite
+construction, SVA generation, the trace
 oracle's harvest, and the RTL oracle's outcome enumeration — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
@@ -97,6 +98,9 @@ PROPERTY_WALK_TESTS = ("mp", "sb", "iwp24", "iriw", "n4", "amd3")
 POLYCHECK_TESTS = ("mp", "sb", "iriw")
 POLYCHECK_SAMPLES = 8
 POLYCHECK_LONG_THREAD_OPS = 16
+#: mp discharges by its cover walk; sb, iwp24 and iriw prove every
+#: assertion, so both paths of a cold suite's verify-and-store run.
+SUITE_CACHED_TESTS = ("mp", "sb", "iwp24", "iriw")
 #: ``FuzzGenerator(seed, 4, long_programs=True).suite(count)``: the
 #: start of the ``fuzz --long-programs`` campaign at seed 0.
 TRACE_HARVEST_SEED = 0
@@ -282,6 +286,21 @@ def _bench_property_walk() -> None:
             explorer.check_property(monitor, EXPLORER_BUDGET)
 
 
+def _bench_suite_cached() -> None:
+    """A cold cached suite of the pinned tests (fixed memory, one job)
+    on a fresh temporary cache directory: verification plus the cache's
+    key, store and checkpoint path that every cold suite pays."""
+    import tempfile
+
+    from repro import RTLCheck, get_test
+    from repro.cache import VerificationCache
+
+    with tempfile.TemporaryDirectory(prefix="bench-gate-cache-") as root:
+        RTLCheck(cache=VerificationCache(root)).verify_suite(
+            [get_test(name) for name in SUITE_CACHED_TESTS]
+        )
+
+
 def _bench_suite_build() -> None:
     """Construction of the 56-test paper suite (diy cycle enumeration
     plus test generation) on a fresh builder, so the module-level memo
@@ -348,6 +367,7 @@ METRICS: Dict[str, Callable[[], None]] = {
     "polycheck": _bench_polycheck,
     "coverage_overhead": _bench_coverage,
     "property_walk": _bench_property_walk,
+    "suite_cached": _bench_suite_cached,
     "suite_build": _bench_suite_build,
     "generation": _bench_generation,
     "trace_harvest": _bench_trace_harvest,
