@@ -2,10 +2,10 @@
 
 Verdicts, reach graphs, and difftest oracle outcome sets are pure
 functions of their inputs (design source, µspec model, mappings,
-litmus test, engine configuration).  This package
-memoizes them on disk under SHA-256 keys of those inputs, giving warm
-re-runs of ``python -m repro suite`` / ``fuzz`` near-instant turnaround
-and interrupted campaigns a checkpointed restart.  See
+litmus test, engine configuration).  This package memoizes them on
+disk under SHA-256 keys of those inputs, giving warm re-runs of
+``python -m repro suite`` / ``fuzz`` near-instant turnaround and
+interrupted campaigns a checkpointed restart.  See
 ``docs/caching.md`` for the key-derivation rules, tier semantics, and
 the CLI reference (``python -m repro cache stats|gc|clear``).
 """

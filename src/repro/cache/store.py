@@ -45,7 +45,7 @@ from repro.cache.keys import CACHE_FORMAT_VERSION
 TIERS = {
     "verdict": ("verdicts", ".json"),
     "reach": ("graphs", ".pkl"),
-    # Read-only: keeps older versions' nfas/ in stats, gc and clear.
+    # No longer written; keeps older versions' nfas/ in stats, gc and clear.
     "nfa": ("nfas", ".pkl"),
     "oracle": ("oracles", ".json"),
 }

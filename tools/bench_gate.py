@@ -2,14 +2,14 @@
 """CI benchmark-regression gate.
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-property walks, a cold suite on a fresh cache directory,
-random-schedule simulation, difftest oracle throughput, paper-suite
-construction, SVA generation, the trace
-oracle's harvest, and the RTL oracle's outcome enumeration — and writes
-the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
-``--baseline``/``--check`` it compares against the committed baseline
-(``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
-metric slowed down by more than the threshold (default 25%).
+property walks, a cold suite on a fresh cache directory, random-schedule
+simulation, difftest oracle throughput, paper-suite construction, SVA
+generation, the trace oracle's harvest, and the RTL oracle's outcome
+enumeration — and writes the measurements to a JSON trajectory point
+(``BENCH_ci.json``).  With ``--baseline``/``--check`` it compares
+against the committed baseline (``benchmarks/baselines/ci_baseline.json``)
+and exits non-zero when any metric slowed down by more than the
+threshold (default 25%).
 
 Raw wall-clock seconds are useless across heterogeneous CI machines,
 so every metric is reported in **calibrated units**: the metric's
