@@ -83,6 +83,17 @@ harvest order, with counts beside it.  The TSO search runs under a
 path too.  About ten seconds:
 
     PYTHONPATH=src python tools/regen_golden_verdicts.py --polycheck-only
+
+``--reach-only`` runs no verifier either: it rewrites the reach-graph
+pin (``tests/fixtures/reach_graphs.json``).  For every suite test on
+both memory variants it builds the verifier's
+:class:`~repro.verifier.reach.ReachGraph` (the default design and the
+program mapping's assumptions) in full, expanding nodes in id order,
+and records ``num_nodes``, ``sim_transitions``, a sha256 of every
+node's edge list (``None`` or ``(input index, child id)``) and a
+sha256 of every node's edge frames, items in order.  About ten seconds:
+
+    PYTHONPATH=src python tools/regen_golden_verdicts.py --reach-only
 """
 
 from __future__ import annotations
@@ -108,6 +119,7 @@ RTL_FIXTURE = os.path.join(FIXTURE_DIR, "rtl_enumeration.json")
 TSO_FIXTURE = os.path.join(FIXTURE_DIR, "tso_verdicts.json")
 SVA_FIXTURE = os.path.join(FIXTURE_DIR, "sva_generation.json")
 POLYCHECK_FIXTURE = os.path.join(FIXTURE_DIR, "polycheck_verdicts.json")
+REACH_FIXTURE = os.path.join(FIXTURE_DIR, "reach_graphs.json")
 
 GOLDEN_KIND = "rtlcheck-golden-verdicts"
 SUITE_KIND = "rtlcheck-paper-suite"
@@ -116,6 +128,7 @@ RTL_KIND = "rtlcheck-rtl-enumeration"
 TSO_KIND = "rtlcheck-tso-verdicts"
 SVA_KIND = "rtlcheck-sva-generation"
 POLYCHECK_KIND = "rtlcheck-polycheck-verdicts"
+REACH_KIND = "rtlcheck-reach-graphs"
 
 #: ``RTLCheck.for_tso()`` memory variant per store-buffer drain order.
 TSO_DRAINS = {"fifo": "fixed", "lifo": "buggy"}
@@ -521,6 +534,62 @@ def polycheck_rows(source: str, test) -> list:
     ]
 
 
+def build_full_graph(test, variant):
+    """The verifier's reach graph of ``test`` on memory ``variant``
+    (default design, the program mapping's assumptions), every node
+    expanded in node-id order."""
+    from repro.litmus import compile_test
+    from repro.mapping import MultiVScaleProgramMapping
+    from repro.sva import AssumptionChecker
+    from repro.verifier.reach import ReachGraph
+    from repro.vscale.soc import MultiVScale
+
+    compiled = compile_test(test)
+    assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
+    graph = ReachGraph(
+        MultiVScale(compiled, variant), AssumptionChecker(assumptions)
+    )
+    node = 0
+    while node < graph.num_nodes:
+        graph.successors(node)
+        node += 1
+    return graph
+
+
+def reach_row(test, variant) -> dict:
+    """One reach pin row: the full graph's size and digests of its edge
+    lists and of its edge frames, node by node."""
+    graph = build_full_graph(test, variant)
+    edges = hashlib.sha256()
+    frames = hashlib.sha256()
+    for node in range(graph.num_nodes):
+        successors = graph.successors(node)
+        edges.update(
+            json.dumps(
+                [
+                    None if edge is None else [index, edge[1]]
+                    for index, edge in enumerate(successors)
+                ]
+            ).encode()
+        )
+        frames.update(
+            json.dumps(
+                [
+                    None if edge is None else list(edge[0].items())
+                    for edge in successors
+                ]
+            ).encode()
+        )
+    return {
+        "test": test.name,
+        "memory": variant,
+        "num_nodes": graph.num_nodes,
+        "sim_transitions": graph.sim_transitions,
+        "edges_digest": edges.hexdigest(),
+        "frames_digest": frames.hexdigest(),
+    }
+
+
 def write_document(document: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
@@ -562,8 +631,28 @@ def main(argv=None) -> int:
         action="store_true",
         help="write only the trace-checker pin (no verifier runs)",
     )
+    parser.add_argument(
+        "--reach-only",
+        action="store_true",
+        help="write only the reach-graph pin (no verifier runs)",
+    )
     parser.add_argument("-o", "--output", default=None, metavar="FILE")
     args = parser.parse_args(argv)
+
+    if args.reach_only:
+        from repro import paper_suite
+
+        output = args.output or REACH_FIXTURE
+        rows = [
+            reach_row(test, variant)
+            for test in paper_suite()
+            for variant in ("fixed", "buggy")
+        ]
+        write_document(
+            {"schema_version": 1, "kind": REACH_KIND, "tests": rows}, output
+        )
+        print(f"wrote {len(rows)} reach-graph rows to {output}")
+        return 0
 
     if args.polycheck_only:
         output = args.output or POLYCHECK_FIXTURE
