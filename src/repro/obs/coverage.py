@@ -50,7 +50,10 @@ _DOMAIN_SET = frozenset(COVERAGE_DOMAINS)
 
 COVERAGE_DB_KIND = "rtlcheck-coverage-db"
 COVERAGE_REPORT_KIND = "rtlcheck-coverage-report"
-COVERAGE_SCHEMA_VERSION = 1
+#: Version 2: ``state``/``transition`` keys digest slot vectors that
+#: carry only each core's register window, so version-1 keys name no
+#: state a newer run reaches.
+COVERAGE_SCHEMA_VERSION = 2
 
 #: Corpus entries the database keeps (highest-novelty first).
 DB_CORPUS_CAP = 64

@@ -144,9 +144,9 @@ class StateInterner:
     def __getstate__(self):
         states = self._states
         width = len(states[0]) if states else 0
-        flat = array("q")
-        for state in states:
-            flat.extend(state)
+        # One array built from one list: array() over a bare iterator
+        # grows item by item and is no faster than a per-state extend.
+        flat = array("q", list(itertools.chain.from_iterable(states)))
         return {"width": width, "count": len(states), "packed": flat.tobytes()}
 
     def __setstate__(self, data):

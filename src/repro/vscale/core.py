@@ -18,7 +18,7 @@ memory, then calls :meth:`VScaleCore.tick`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import RtlError
 from repro.isa import Addi, Halt, Instruction, Lui, Lw, Nop, Sw, decode
@@ -33,6 +33,33 @@ def cached_decode(word: int) -> Instruction:
         instr = decode(word)
         _DECODE_CACHE[word] = instr
     return instr
+
+
+def named_registers(instr: Instruction) -> Tuple[int, ...]:
+    """The registers ``instr`` reads or writes."""
+    if isinstance(instr, Lw):
+        return (instr.rs1, instr.rd)
+    if isinstance(instr, Sw):
+        return (instr.rs1, instr.rs2)
+    if isinstance(instr, Addi):
+        return (instr.rs1, instr.rd)
+    if isinstance(instr, Lui):
+        return (instr.rd,)
+    return ()
+
+
+def register_window(
+    imem: Iterable[int], reg_init: Optional[Dict[int, int]] = None
+) -> Tuple[int, int]:
+    """The half-open register range ``(lo, hi)`` covering every register
+    the program in ``imem`` names plus every register ``reg_init`` sets
+    (``(0, 0)`` when there are none).  No instruction reaches a register
+    outside it, so those stay 0 for the whole run and need no state."""
+    regs = {reg for word in imem for reg in named_registers(cached_decode(word))}
+    regs.update(reg for reg in (reg_init or {}) if reg != 0)
+    if not regs:
+        return (0, 0)
+    return (min(regs), max(regs) + 1)
 
 
 class DxView:
@@ -63,14 +90,21 @@ class VScaleCore:
     """Architectural + pipeline state of one core."""
 
     def __init__(
-        self, core_id: int, imem: List[int], base_pc: Optional[int] = None
+        self,
+        core_id: int,
+        imem: List[int],
+        base_pc: Optional[int] = None,
+        reg_init: Optional[Dict[int, int]] = None,
     ):
         self.core_id = core_id
         self.imem = list(imem)
         # Classic geometry by default; extended-geometry compiles
         # (difftest long programs) pass their own reset PC.
         self.base_pc = core_base_pc(core_id) if base_pc is None else base_pc
-        self.reset()
+        #: The registers the slot vector carries: ``regs[reg_lo:reg_hi]``
+        #: (:func:`register_window` of the program and ``reg_init``).
+        self.reg_lo, self.reg_hi = register_window(self.imem, reg_init)
+        self.reset(reg_init)
 
     def reset(self, reg_init: Optional[Dict[int, int]] = None) -> None:
         self.pc_if = self.base_pc
@@ -93,6 +127,11 @@ class VScaleCore:
         self.regs = [0] * 32
         for reg, value in (reg_init or {}).items():
             if reg != 0:
+                if not self.reg_lo <= reg < self.reg_hi:
+                    raise RtlError(
+                        f"core {self.core_id}: reg_init sets x{reg} outside "
+                        f"the register window x{self.reg_lo}..x{self.reg_hi - 1}"
+                    )
                 self.regs[reg] = value
 
     # ------------------------------------------------------------------
@@ -209,11 +248,17 @@ class VScaleCore:
 
     # -- flat slot protocol --------------------------------------------
 
-    #: 15 scalar pipeline/architectural registers + 32 GPRs.
-    SLOT_COUNT = 15 + 32
+    #: Scalar pipeline/architectural registers in the core's block; the
+    #: register window has a block of its own (:attr:`window_size`).
+    SLOT_COUNT = 15
 
-    def write_slots(self, buf: List[int], base: int) -> None:
-        """Flatten the core into ``buf[base : base + SLOT_COUNT]``.
+    @property
+    def window_size(self) -> int:
+        return self.reg_hi - self.reg_lo
+
+    def write_slots(self, buf: List[int], base: int, window: int) -> None:
+        """Flatten the core into ``buf[base : base + SLOT_COUNT]`` and
+        its register window into ``buf[window : window + window_size]``.
 
         Booleans encode as 0/1 and the optional ``wb_writes_reg`` as
         -1-for-None, keeping the encoding injective (None and r0 are
@@ -234,9 +279,11 @@ class VScaleCore:
         buf[base + 12] = self.wb_alu
         buf[base + 13] = self.wb_mem_addr
         buf[base + 14] = int(self.halted)
-        buf[base + 15:base + 47] = self.regs
+        buf[window:window + self.reg_hi - self.reg_lo] = (
+            self.regs[self.reg_lo:self.reg_hi]
+        )
 
-    def read_slots(self, vec, base: int) -> None:
+    def read_slots(self, vec, base: int, window: int) -> None:
         self.pc_if = vec[base]
         self.fetch_stop = bool(vec[base + 1])
         self.dx_valid = bool(vec[base + 2])
@@ -253,4 +300,7 @@ class VScaleCore:
         self.wb_alu = vec[base + 12]
         self.wb_mem_addr = vec[base + 13]
         self.halted = bool(vec[base + 14])
-        self.regs = list(vec[base + 15:base + 47])
+        # Registers outside the window are 0 in every state.
+        self.regs[self.reg_lo:self.reg_hi] = (
+            vec[window:window + self.reg_hi - self.reg_lo]
+        )

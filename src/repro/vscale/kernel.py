@@ -6,12 +6,16 @@
 object, plus a ``drained(vec)`` quiescence predicate.  Consumers that
 never look at signals use it: the trace harvest and the
 architectural-outcome enumeration, through
-:meth:`~repro.vscale.soc.MultiVScale.state_step`.  Every slot index is
-a literal in the generated source.  Per-program data lives in the
-namespace the source executes in, not in the source: each core's
-instruction memory (``IMEM{i}``), its length (``NI{i}``) and a
-precomputed decode table (``DEC{i}``: ``word -> (kind, rs1, rd/rs2,
-imm)``), plus the declared data words as a ``word -> slot`` dict.  The
+:meth:`~repro.vscale.soc.MultiVScale.state_step`.  Every slot index
+outside the register windows is a literal in the generated source;
+register slots come from per-design tables.  Per-program data lives in
+the namespace the source executes in, not in the source:
+each core's instruction memory (``IMEM{i}``), its length (``NI{i}``),
+its register -> absolute slot table (``RS{i}``, over the core's
+register window) and a precomputed decode table (``DEC{i}``: ``word ->
+(kind, rs1 slot, rd or rs2 slot, imm)``), plus the declared data words
+as a ``word -> slot`` dict.  The register windows sit after every
+other block, so the bases the source names do not depend on them.  The
 sources are generated from a hashable :class:`_Layout` record alone
 (core, arbiter and memory bases, base PCs, the memory variant), and
 the code cache (:func:`_layout_code`) is keyed by that record: a design
@@ -41,41 +45,47 @@ kind  instruction
 from __future__ import annotations
 
 import functools
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import RtlError
-from repro.isa import Addi, Halt, Lui, Lw, Sw
+from repro.isa import NUM_REGS, Addi, Halt, Lui, Lw, Sw
 from repro.vscale.core import cached_decode
 from repro.vscale.memory import BuggyMemory, MemoryBase
 
 _M32 = 0xFFFFFFFF
 
-#: Decode entry: (kind, rs1, rd-or-rs2, imm).  For ``lui`` the shifted
-#: immediate is precomputed so the kernel never shifts at step time.
+#: Decode entry: (kind, rs1 slot, rd-or-rs2, imm).  Registers read
+#: (``rs1``, a store's ``rs2``) are absolute slots through the core's
+#: register table; a destination ``rd`` stays a register number, as the
+#: pipeline slots ``wb_load_dest``/``wb_writes_reg`` hold it.  For
+#: ``lui`` the shifted immediate is precomputed so the kernel never
+#: shifts at step time.
 DecodeEntry = Tuple[int, int, int, int]
 
 
-def decode_entry(word: int) -> DecodeEntry:
+def decode_entry(word: int, regslot: Sequence[Optional[int]]) -> DecodeEntry:
     if word == 0:
         # The bubble word: dx_valid is always clear alongside it, so the
         # interpreter never decodes it; the tables map it to "nothing".
         return (0, 0, 0, 0)
     instr = cached_decode(word)
     if isinstance(instr, Lw):
-        return (1, instr.rs1, instr.rd, instr.imm)
+        return (1, regslot[instr.rs1], instr.rd, instr.imm)
     if isinstance(instr, Sw):
-        return (2, instr.rs1, instr.rs2, instr.imm)
+        return (2, regslot[instr.rs1], regslot[instr.rs2], instr.imm)
     if isinstance(instr, Halt):
         return (3, 0, 0, 0)
     if isinstance(instr, Addi):
-        return (4, instr.rs1, instr.rd, instr.imm)
+        return (4, regslot[instr.rs1], instr.rd, instr.imm)
     if isinstance(instr, Lui):
         return (5, 0, instr.rd, (instr.imm20 << 12) & _M32)
     return (0, 0, 0, 0)  # Nop / Fence
 
 
-def _extend_decode(table: Dict[int, DecodeEntry], word: int) -> DecodeEntry:
-    entry = decode_entry(word)
+def _extend_decode(
+    table: Dict[int, DecodeEntry], regslot: Sequence[Optional[int]], word: int
+) -> DecodeEntry:
+    entry = decode_entry(word, regslot)
     table[word] = entry
     return entry
 
@@ -140,7 +150,6 @@ def _emit_comb(spec: _Layout, w) -> None:
     data phase.  Binds per-core locals k/ma/ld/wr/alu/rs2x/ism/st and
     globals granted/g_ism/g_k/g_mw/pv/pc_/pk/pw/sdi/lo."""
     for i, B in enumerate(spec.core_bases):
-        R = B + 15
         w(f"pcif{i} = vec[{B}]")
         w(f"fs{i} = vec[{B + 1}]")
         w(f"dxv{i} = vec[{B + 2}]")
@@ -148,16 +157,16 @@ def _emit_comb(spec: _Layout, w) -> None:
         w(f"if dxv{i}:")
         w(f"    t = DEC{i}.get(vec[{B + 3}])")
         w("    if t is None:")
-        w(f"        t = _dec(DEC{i}, vec[{B + 3}])")
+        w(f"        t = _dec(DEC{i}, RS{i}, vec[{B + 3}])")
         w(f"    k{i} = t[0]")
         w(f"    if k{i} == 1:")
-        w(f"        ma{i} = (vec[{R} + t[1]] + t[3]) & {_M32}")
+        w(f"        ma{i} = (vec[t[1]] + t[3]) & {_M32}")
         w(f"        ld{i} = t[2]")
         w(f"    elif k{i} == 2:")
-        w(f"        ma{i} = (vec[{R} + t[1]] + t[3]) & {_M32}")
+        w(f"        ma{i} = (vec[t[1]] + t[3]) & {_M32}")
         w(f"        rs2x{i} = t[2]")
         w(f"    elif k{i} == 4:")
-        w(f"        wr{i} = t[2]; alu{i} = (vec[{R} + t[1]] + t[3]) & {_M32}")
+        w(f"        wr{i} = t[2]; alu{i} = (vec[t[1]] + t[3]) & {_M32}")
         w(f"    elif k{i} == 5:")
         w(f"        wr{i} = t[2]; alu{i} = t[3]")
         w(f"ism{i} = 1 <= k{i} <= 2")
@@ -222,12 +231,11 @@ def _emit_tick(spec: _Layout, w) -> None:
     w(f"buf[{spec.arb + 1}] = granted")
     # Core ticks.
     for i, B in enumerate(spec.core_bases):
-        R = B + 15
         w(f"if vec[{B + 5}]:")
         w(f"    if vec[{B + 7}] == 1 and vec[{B + 9}]:")
-        w(f"        buf[{R} + vec[{B + 9}]] = lo if (pc_ == {i} and pk == 1) else 0")
+        w(f"        buf[RS{i}[vec[{B + 9}]]] = lo if (pc_ == {i} and pk == 1) else 0")
         w(f"    elif vec[{B + 11}] > 0:")
-        w(f"        buf[{R} + vec[{B + 11}]] = vec[{B + 12}]")
+        w(f"        buf[RS{i}[vec[{B + 11}]]] = vec[{B + 12}]")
         w(f"    if vec[{B + 10}]:")
         w(f"        buf[{B + 14}] = 1")
         w(f"if st{i} or not dxv{i}:")
@@ -246,7 +254,7 @@ def _emit_tick(spec: _Layout, w) -> None:
         # Store data reads the register file *after* writeback (the
         # load->store forwarding the interpreter gets from its phase
         # ordering), hence buf not vec.
-        w(f"    buf[{B + 8}] = buf[{R} + rs2x{i}] if k{i} == 2 else 0")
+        w(f"    buf[{B + 8}] = buf[rs2x{i}] if k{i} == 2 else 0")
         w(f"    buf[{B + 9}] = ld{i}")
         w(f"    buf[{B + 10}] = 1 if k{i} == 3 else 0")
         w(f"    buf[{B + 11}] = wr{i}")
@@ -309,11 +317,18 @@ def _make_namespace(design, layout: _Layout) -> dict:
         # owner core id -> absolute slot of its wb_store_data.
         "SD_OFF": tuple(base + 8 for base in layout.core_bases),
     }
-    for i, core in enumerate(design.cores):
+    for i, (core, window) in enumerate(zip(design.cores, design._window_bases)):
         imem = tuple(core.imem)
+        # register -> absolute slot; None outside the window, which no
+        # instruction of the program names.
+        regslot = tuple(
+            window + reg - core.reg_lo if core.reg_lo <= reg < core.reg_hi else None
+            for reg in range(NUM_REGS)
+        )
         namespace[f"IMEM{i}"] = imem
         namespace[f"NI{i}"] = len(imem)
-        namespace[f"DEC{i}"] = {word: decode_entry(word) for word in imem}
+        namespace[f"RS{i}"] = regslot
+        namespace[f"DEC{i}"] = {word: decode_entry(word, regslot) for word in imem}
     return namespace
 
 

@@ -67,9 +67,11 @@ class VScaleSoC(Design):
     """Four V-scale cores programmed with one compiled litmus test and
     the grant arbiter; subclasses add the memory side.
 
-    The slot layout starts with each core's block, then the arbiter's
-    (whose first slot, ``cur_core``, is the grant slot); subclasses
-    append their own blocks and bind the layout once constructed.
+    The slot layout starts with each core's pipeline block, then the
+    arbiter's (whose first slot, ``cur_core``, is the grant slot), then
+    the blocks a subclass appends in :meth:`_memory_blocks`, and ends
+    with each core's register window; subclasses bind the layout once
+    constructed.
     """
 
     def __init__(self, compiled: CompiledTest):
@@ -82,7 +84,12 @@ class VScaleSoC(Design):
                 raise RtlError(f"core {core_id}: program too long for imem")
             imem = [encode(instr) for instr in program]
             self.cores.append(
-                VScaleCore(core_id, imem, base_pc=compiled.core_base_pc(core_id))
+                VScaleCore(
+                    core_id,
+                    imem,
+                    base_pc=compiled.core_base_pc(core_id),
+                    reg_init=compiled.reg_init[core_id],
+                )
             )
         self.arbiter = Arbiter(NUM_CORES)
         self.data_words = sorted(compiled.initial_data_memory)
@@ -110,16 +117,31 @@ class VScaleSoC(Design):
             for core in self.cores
         ]
         self._arb_base = layout.block("arbiter", self.arbiter.SLOT_COUNT)
+        self._memory_blocks(layout)
+        self._window_bases = [
+            layout.block(
+                f"core[{core.core_id}].regs[{core.reg_lo}:{core.reg_hi}]",
+                core.window_size,
+            )
+            for core in self.cores
+        ]
+        self._core_slots = list(
+            zip(self.cores, self._core_bases, self._window_bases)
+        )
         return layout
 
+    def _memory_blocks(self, layout: SlotLayout) -> None:
+        """Append the memory side's blocks to ``layout``."""
+        raise NotImplementedError
+
     def write_slots(self, buf: List[int]) -> None:
-        for core, base in zip(self.cores, self._core_bases):
-            core.write_slots(buf, base)
+        for core, base, window in self._core_slots:
+            core.write_slots(buf, base, window)
         self.arbiter.write_slots(buf, self._arb_base)
 
     def read_slots(self, vec) -> None:
-        for core, base in zip(self.cores, self._core_bases):
-            core.read_slots(vec, base)
+        for core, base, window in self._core_slots:
+            core.read_slots(vec, base, window)
         self.arbiter.read_slots(vec, self._arb_base)
         self._pending_tick = None
 
@@ -324,13 +346,12 @@ class MultiVScale(VScaleSoC):
             core.tick(views[core_id], stall_dx[core_id], load_data)
 
     # ------------------------------------------------------------------
-    # State protocol: cores, arbiter, then the memory block
+    # State protocol: cores, arbiter, the memory block, then the
+    # register windows
     # ------------------------------------------------------------------
 
-    def slot_layout(self) -> SlotLayout:
-        layout = super().slot_layout()
+    def _memory_blocks(self, layout: SlotLayout) -> None:
         self._mem_base = layout.block("memory", self.memory.slot_count())
-        return layout
 
     def write_slots(self, buf: List[int]) -> None:
         super().write_slots(buf)

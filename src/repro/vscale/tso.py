@@ -36,7 +36,8 @@ the arbiter's clock edge.  After the cores' and arbiter's blocks come
 the declared memory words, then per core ``STORE_BUFFER_CAPACITY``
 ``(addr, data, pc)`` entries (oldest first, ``-1`` filling empty
 entries), then the in-flight transaction as ``(kind, core, addr, data,
-pc)`` with kind 0 for none, 1 for a load, 2 for a drain commit.
+pc)`` with kind 0 for none, 1 for a load, 2 for a drain commit, and
+last the cores' register windows.
 
 Signals added to trace frames: ``core[i].sb_count``,
 ``core[i].commit_valid`` / ``core[i].commit_pc`` (the Memory-stage event
@@ -282,14 +283,12 @@ class MultiVScaleTSO(VScaleSoC):
 
     # ------------------------------------------------------------------
 
-    def slot_layout(self) -> SlotLayout:
-        layout = super().slot_layout()
+    def _memory_blocks(self, layout: SlotLayout) -> None:
         self._mem_base = layout.block("memory", len(self.data_words))
         self._sb_base = layout.block(
             "store buffers", NUM_CORES * STORE_BUFFER_CAPACITY * _ENTRY_SLOTS
         )
         self._txn_base = layout.block("pending", _TXN_SLOTS)
-        return layout
 
     def write_slots(self, buf: List[int]) -> None:
         super().write_slots(buf)

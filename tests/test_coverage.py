@@ -303,6 +303,31 @@ class TestCoverageDB:
         assert db.load()["domains"] == {}
         assert db.reset_reason == "stale"
 
+    def test_version_one_document_resets(self, tmp_path):
+        """A database written before the register-window slot vectors
+        (schema 1) holds state and transition keys no newer run can
+        reach; loading it must reset instead of counting every state
+        as novel."""
+        from repro.obs.coverage import COVERAGE_DB_KIND
+
+        path = tmp_path / "cov.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": COVERAGE_DB_KIND,
+                    "schema_version": 1,
+                    "domains": {"state": {"0123456789abcdef": 3}},
+                    "campaigns": [{"tests": 20}],
+                    "corpus": [],
+                }
+            )
+        )
+        db = CoverageDB(str(path))
+        document = db.load()
+        assert db.reset_reason == "stale"
+        assert document["domains"] == {}
+        assert document["campaigns"] == []
+
     def test_corpus_capped_by_energy(self, tmp_path):
         from repro.obs.coverage import DB_CORPUS_CAP
 

@@ -16,6 +16,7 @@ encoding), and that no option selects a state backend any more.
 ``RTLCHECK_GOLDEN_FULL=1``); the subset here keeps CI fast.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -29,7 +30,9 @@ from hypothesis import strategies as st
 
 from repro import RTLCheck, get_test
 from repro.errors import ReproError
+from repro.isa import Addi, Fence, Halt, Lui, Lw, Sw
 from repro.litmus import compile_test
+from repro.litmus.test import IMEM_WORDS_PER_CORE
 from repro.mapping import MultiVScaleProgramMapping
 from repro.rtl.design import Simulator, StateInterner
 from repro.rtl.vcd import render_vcd
@@ -355,6 +358,153 @@ class TestSnapshotRestore:
         c = revived.intern((9, 9))
         assert c == 2
         assert revived.intern((0, -1)) == a
+
+
+def _window_program(draw, words):
+    """One core's program and ``reg_init`` over a random register set:
+    address registers only read (and initialized), registers only
+    written (load, ``addi`` and ``lui`` destinations nothing reads),
+    registers only initialized, ``r0`` as an ``addi`` source, a store's
+    data or a memory base, and whatever gaps the draws leave inside
+    the window."""
+    reg = st.integers(1, 31)
+    addr_regs = draw(st.lists(reg, max_size=2, unique=True))
+    reg_init = {a: 4 * draw(st.sampled_from(words)) for a in addr_regs}
+    data = st.sampled_from([0, 0] + [r for r in range(1, 32) if r not in reg_init])
+    for only_init in draw(st.lists(data, max_size=2)):
+        if only_init:
+            reg_init[only_init] = draw(st.integers(0, 2**32 - 1))
+
+    def address():
+        # A memory op's (rs1, imm): an address register, or r0 plus the
+        # byte address as the immediate.
+        if addr_regs and draw(st.booleans()):
+            return draw(st.sampled_from(addr_regs)), 0
+        return 0, 4 * draw(st.sampled_from(words))
+
+    program = []
+    for kind in draw(
+        st.lists(
+            st.sampled_from(["lw", "sw", "addi", "lui", "fence"]),
+            max_size=IMEM_WORDS_PER_CORE - 1,
+        )
+    ):
+        if kind == "lw":
+            rs1, imm = address()
+            program.append(Lw(rd=draw(data), rs1=rs1, imm=imm))
+        elif kind == "sw":
+            rs1, imm = address()
+            program.append(Sw(rs1=rs1, rs2=draw(data), imm=imm))
+        elif kind == "addi":
+            program.append(
+                Addi(rd=draw(data), rs1=draw(data), imm=draw(st.integers(-2048, 2047)))
+            )
+        elif kind == "lui":
+            program.append(Lui(rd=draw(data), imm20=draw(st.integers(1, 2**20 - 1))))
+        else:
+            program.append(Fence())
+    return program, reg_init
+
+
+#: Register-window designs: ``(design class, variant)``.
+WINDOW_DESIGNS = [
+    (MultiVScale, "fixed"),
+    (MultiVScale, "buggy"),
+    (MultiVScaleTSO, "fifo"),
+]
+
+
+class TestRegisterWindow:
+    """A slot vector carries each core's register window only: the
+    registers its program names or ``reg_init`` sets.  Checked against
+    the uninterrupted interpreter, whose register files never pass
+    through a slot vector."""
+
+    @staticmethod
+    def _state(design):
+        if isinstance(design, MultiVScaleTSO):
+            memory = (sorted(design.array.items()), design.buffers, design.pending)
+        else:
+            memory = component_state(design.memory)
+        return (
+            tuple(component_state(core) for core in design.cores),
+            component_state(design.arbiter),
+            memory,
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restore_matches_uninterrupted_run(self, data):
+        """At every cycle of a random grant schedule, ``restore`` of the
+        cycle's snapshot into a freshly reset design rebuilds the
+        interpreter's state exactly; on Multi-V-scale the compiled
+        step's vector equals the snapshot's too."""
+        design_class, variant = data.draw(st.sampled_from(WINDOW_DESIGNS))
+        base = compile_test(get_test("mp"))
+        words = sorted(base.initial_data_memory)
+        test = dataclasses.replace(
+            base.test,
+            initial_memory=tuple(
+                (var, data.draw(st.integers(1, 2**32 - 1), label=var))
+                for var in sorted(base.address_map)
+            ),
+        )
+        programs, inits = zip(
+            *(_window_program(data.draw, words) for _ in range(base.num_cores))
+        )
+        compiled = dataclasses.replace(
+            compile_test(test),
+            programs=[list(program) + [Halt()] for program in programs],
+            reg_init=list(inits),
+            ops=[],
+        )
+        schedule = data.draw(st.lists(st.integers(0, 3), max_size=40))
+
+        reference = design_class(compiled, variant)
+        design = design_class(compiled, variant)
+        stepper = None
+        if design_class is MultiVScale:
+            stepper = design_class(compiled, variant).state_step()
+            vec = stepper.start
+        reference.reset()
+        design.reset()
+        for select in schedule + [0]:
+            saved = design.snapshot()
+            if stepper is not None:
+                assert design.state_vector(saved) == vec
+            # A reset gives the design fresh register files, so only
+            # what the snapshot carries comes back.
+            design.reset()
+            design.restore(saved)
+            assert self._state(design) == self._state(reference)
+            for machine in (reference, design):
+                machine.eval_comb({"arb_select": select})
+                machine.tick()
+            if stepper is not None:
+                buf = stepper.step_state(vec)
+                buf[stepper.grant_slot] = stepper.selects[select]
+                vec = tuple(buf)
+
+    def test_window_covers_named_and_initialized_registers(self):
+        """The window spans the lowest to the highest register named or
+        initialized, gaps included; a halt-only core has none."""
+        base = compile_test(get_test("mp"))
+        compiled = dataclasses.replace(
+            base,
+            programs=[
+                [Addi(rd=9, rs1=0, imm=1), Halt()],
+                [Lw(rd=4, rs1=7), Halt()],
+                [Halt()],
+                [Halt()],
+            ],
+            reg_init=[{}, {7: 4 * 40}, {12: 5, 0: 3}, {}],
+            ops=[],
+        )
+        design = MultiVScale(compiled, "fixed")
+        assert [(c.reg_lo, c.reg_hi) for c in design.cores] == [
+            (0, 10), (4, 8), (12, 13), (0, 0)
+        ]
+        assert design._slot_layout.size == 4 * 15 + 2 + 4 + 2 + (10 + 4 + 1)
 
 
 class TestBackendSelection:
